@@ -1,8 +1,9 @@
 // Craft-latency microbench for the seq2seq history-encoding cache: times a
-// full adversarial craft (anchor query + k PGD gradient iterations) with
-// the craft-context cache on vs off, sweeping history length n and PGD
-// steps k. The cached path pays the history heads once per craft instead of
-// once per query, so the speedup grows with both axes.
+// full adversarial craft (one anchor forward + k PGD gradient iterations)
+// through a CraftContext (cached) against the same query sequence through
+// the full-forward free helpers (uncached), sweeping history length n and
+// PGD steps k. The cached path pays the history heads once per craft
+// instead of once per query, so the speedup grows with both axes.
 //
 // Emits BENCH_craft.json (one object per swept point plus the headline
 // 10-step PGD row at the default CartPole approximator config) so the bench
@@ -52,12 +53,30 @@ CraftInputs make_inputs(const rlattack::seq2seq::Seq2SeqConfig& cfg,
   return in;
 }
 
+/// The uncached arm: PgdAttack's query sequence — one forward for the
+/// anchor, then `steps` CE gradients at the moving candidate — asked
+/// through the free helpers, each of which re-runs the full forward over
+/// the histories.
+rlattack::nn::Tensor uncached_craft(rlattack::seq2seq::Seq2SeqModel& model,
+                                    const CraftInputs& inputs,
+                                    std::size_t steps) {
+  const std::size_t anchor =
+      rlattack::attack::predict_actions(model, inputs)[0];
+  rlattack::nn::Tensor candidate = inputs.current_obs;
+  for (std::size_t it = 0; it < steps; ++it) {
+    const rlattack::nn::Tensor grad = rlattack::attack::current_obs_gradient(
+        model, inputs, /*position=*/0, anchor, candidate);
+    for (std::size_t i = 0; i < grad.size(); ++i)
+      candidate[i] += grad[i] > 0.0f ? 0.05f : -0.05f;
+  }
+  return candidate;
+}
+
 /// Median-of-repeats per-craft latency in microseconds. Each repeat is one
 /// full craft: anchor resolution plus `steps` PGD gradient iterations.
 double craft_latency_us(rlattack::seq2seq::Seq2SeqModel& model,
                         const CraftInputs& inputs, std::size_t steps,
                         bool cached) {
-  rlattack::attack::set_craft_cache_enabled(cached);
   PgdAttack pgd(steps, 0.3f);
   const Budget budget{Budget::Norm::kL2, 0.5f};
   const rlattack::env::ObservationBounds bounds{-10.0f, 10.0f};
@@ -70,7 +89,8 @@ double craft_latency_us(rlattack::seq2seq::Seq2SeqModel& model,
     rlattack::util::Rng rng(99);  // PGD ignores it; identical work per run
     const auto start = std::chrono::steady_clock::now();
     rlattack::nn::Tensor out =
-        pgd.perturb(model, inputs, goal, budget, bounds, rng);
+        cached ? pgd.perturb(model, inputs, goal, budget, bounds, rng)
+               : uncached_craft(model, inputs, steps);
     const auto end = std::chrono::steady_clock::now();
     if (out.empty()) std::abort();  // keep the craft observable
     if (r >= kWarmup)
@@ -135,7 +155,6 @@ void write_json(const std::vector<Point>& points, const Point& headline) {
 
 int main(int argc, char** argv) {
   rlattack::bench::init_metrics(argc, argv, "bench_micro_seq2seq");
-  const bool saved = rlattack::attack::craft_cache_enabled();
 
   std::vector<Point> points;
   // CartPole approximator, n sweep x PGD-step sweep. n = 10 / pgd = 10 is
@@ -163,8 +182,6 @@ int main(int argc, char** argv) {
     cfg.use_attention = true;
     points.push_back(run_point("cartpole_attention", cfg, 10));
   }
-
-  rlattack::attack::set_craft_cache_enabled(saved);
 
   const Point* headline = nullptr;
   for (const Point& p : points)

@@ -96,27 +96,25 @@ fi
   BENCH_experiments.baseline.json
 awk 'BEGIN { print "["; first = 1 }
   /^\[timing\]/ {
-    e = t = n = c = v = w = ""
+    e = t = n = v = w = ""
     for (i = 2; i <= NF; ++i) {
       split($i, kv, "=")
       if (kv[1] == "experiment") e = kv[2]
       if (kv[1] == "threads") t = kv[2]
       if (kv[1] == "episodes") n = kv[2]
-      if (kv[1] == "craft_batch") c = kv[2]
       if (kv[1] == "eval_batch") v = kv[2]
       if (kv[1] == "wall_s") w = kv[2]
     }
     if (e == "" || t == "" || n == "" || w == "") next
-    if (c == "") c = 0
     if (v == "") v = 0
     if (!first) printf ",\n"
     first = 0
-    printf "  {\"experiment\": \"%s\", \"threads\": %s, \"episodes\": %s, \"craft_batch\": %s, \"eval_batch\": %s, \"wall_seconds\": %s}", e, t, n, c, v, w
+    printf "  {\"experiment\": \"%s\", \"threads\": %s, \"episodes\": %s, \"eval_batch\": %s, \"wall_seconds\": %s}", e, t, n, v, w
   }
   END { print "\n]" }' bench_output.txt > BENCH_experiments.json
 
 # Wall-clock regression gate: rows matched against the committed baseline by
-# (experiment, threads, craft_batch, eval_batch); >10% slower flags the row.
+# (experiment, threads, eval_batch); >10% slower flags the row.
 # The verdict
 # lands in CHECKS.json under "bench_regressions" so run_checks.sh consumers
 # see perf and correctness in one place (short sub-second rows are skipped —
@@ -129,8 +127,7 @@ import json, os
 def rows(path):
     out = {}
     for r in json.load(open(path)):
-        key = (r["experiment"], r.get("threads"), r.get("craft_batch", 0),
-               r.get("eval_batch", 0))
+        key = (r["experiment"], r.get("threads"), r.get("eval_batch", 0))
         out[key] = r["wall_seconds"]
     return out
 
@@ -143,8 +140,7 @@ for key, wall in sorted(new.items()):
         continue
     if wall > ref * 1.10:
         flagged.append({
-            "experiment": key[0], "threads": key[1], "craft_batch": key[2],
-            "eval_batch": key[3],
+            "experiment": key[0], "threads": key[1], "eval_batch": key[2],
             "baseline_wall_seconds": ref, "wall_seconds": wall,
             "slowdown": round(wall / ref, 3),
         })
@@ -164,7 +160,7 @@ print("bench regression check:", report["status"],
       f"({len(flagged)} flagged of {report['compared_rows']} compared)")
 for f in flagged:
     print("  REGRESSION", f["experiment"], "threads", f["threads"],
-          "craft_batch", f["craft_batch"], "eval_batch", f["eval_batch"], ":",
+          "eval_batch", f["eval_batch"], ":",
           f["baseline_wall_seconds"], "->", f["wall_seconds"], "s")
 EOF
 fi

@@ -38,11 +38,11 @@
 #   simd     default build + the kernel/attention parity suites run twice,
 #            once under RLATTACK_SIMD=avx2 and once under RLATTACK_SIMD=scalar;
 #            SKIPPED (not failed) when the host CPU lacks AVX2/FMA
-#   batch    batched-craft-substrate parity suites (seq2seq_batch_test plus
-#            the CraftBatch/WorkerPool experiment suites) under BOTH ASan and
-#            TSan — the rendezvous shares one model across host threads and
-#            memcpy-packs rows around the shared GEMMs, so it gets the
-#            memory- and race-checker treatment explicitly
+#   batch    batched-craft parity suite (seq2seq_batch_test) plus the
+#            pooled-clone WorkerPool experiment suite under BOTH ASan and
+#            TSan — the batched tail memcpy-packs rows around the shared
+#            GEMMs, and pooled workers reset shared clone slots in place, so
+#            both get the memory- and race-checker treatment explicitly
 #   eval-batch
 #            episode-batched evaluation substrate parity suites (the
 #            ActBatch agent suites plus the EvalBatch experiment suites)
@@ -373,7 +373,7 @@ run_config() {
         ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:halt_on_error=1}" \
           RLATTACK_THREADS=4 run_logged "${log}" \
           build-asan/tests/experiments_parallel_test \
-          --gtest_filter='*CraftBatch*:*WorkerPool*' || rc=1
+          --gtest_filter='*WorkerPool*' || rc=1
       fi
       configure_build batch build-tsan "${log}" \
         -DRLATTACK_TSAN=ON -DRLATTACK_BUILD_BENCH=OFF \
@@ -386,9 +386,9 @@ run_config() {
         TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
           RLATTACK_THREADS=4 run_logged "${log}" \
           build-tsan/tests/experiments_parallel_test \
-          --gtest_filter='*CraftBatch*:*WorkerPool*' || rc=1
+          --gtest_filter='*WorkerPool*' || rc=1
       fi
-      DETAIL[${name}]="batched-craft parity suites under ASan + TSan"
+      DETAIL[${name}]="batched-craft and pooled-clone suites under ASan + TSan"
       ;;
     eval-batch)
       # The eval-rendezvous suites assert bit-identity of experiment rows

@@ -19,10 +19,11 @@
 //     outcomes are bit-identical to the unbatched drivers no matter how the
 //     flushes interleave.
 //
-// Liveness rule: enroll only sessions whose attack can still query the
-// model (Attack::uses_model, retire after a single-step attack fires) —
-// an enrolled participant that never probes would stall every flush until
-// its episode ends.
+// Liveness rule: an enrolled participant must keep probing until it
+// retires — one that never probes stalls every flush until its episode
+// ends. The episode-batched driver meets it by construction: every episode
+// queries the victim through the rendezvous on every step, so each stays
+// enrolled for its whole episode and retires when it ends.
 #pragma once
 
 #include <condition_variable>
@@ -36,38 +37,13 @@
 
 namespace rlattack::attack {
 
-/// Whether the episode drivers batch concurrent sessions' craft queries
-/// through a BatchedCraftPlanner. On by default; the RLATTACK_CRAFT_BATCH
-/// environment variable sets the process-initial value: "0" disables
-/// (falling back to the per-worker single-row path, bit-identically), any
-/// integer > 1 both enables and overrides the batch width.
-bool craft_batch_enabled() noexcept;
-void set_craft_batch_enabled(bool enabled) noexcept;
-
-/// Concurrent episode hosts a batched driver runs (the flush width upper
-/// bound). Defaults to 32; RLATTACK_CRAFT_BATCH=<int greater than 1>
-/// overrides. Batching is a pure arithmetic-intensity win, so the width is
-/// deliberately decoupled from the machine's thread count (measured on the
-/// 1-core reference box, 32 beats 16 on every fig5/fig6 row and widths
-/// beyond ~32 are flat).
-std::size_t craft_batch_width() noexcept;
-void set_craft_batch_width(std::size_t width) noexcept;
-
-/// Whether the episode drivers batch concurrent episodes' per-step
-/// evaluation queries (victim policy actions, approximator agreement
-/// probes) through the same rendezvous. On by default; RLATTACK_EVAL_BATCH
-/// sets the process-initial value with the same grammar as
-/// RLATTACK_CRAFT_BATCH: "0" disables (bit-identically falling back to the
-/// per-worker single-row drivers), an integer > 1 both enables and
-/// overrides the rendezvous width.
+/// Whether the episode drivers batch concurrent episodes' per-step queries
+/// (victim policy actions, approximator agreement and craft probes)
+/// through a BatchedCraftPlanner rendezvous. On by default;
+/// RLATTACK_EVAL_BATCH=0 sets the process-initial value to off, which
+/// bit-identically falls back to the serial and pooled-clone drivers.
 bool eval_batch_enabled() noexcept;
 void set_eval_batch_enabled(bool enabled) noexcept;
-
-/// Concurrent episode hosts an eval-batched driver runs (the rendezvous
-/// width upper bound). Defaults to 32, same rationale as
-/// craft_batch_width(); RLATTACK_EVAL_BATCH=<int greater than 1> overrides.
-std::size_t eval_batch_width() noexcept;
-void set_eval_batch_width(std::size_t width) noexcept;
 
 /// Checked builds only: a participant parked in the rendezvous longer than
 /// this interval (milliseconds) emits a "craft.batch.stall" instant trace
@@ -105,8 +81,7 @@ class BatchedCraftPlanner {
     ~Participant();
 
     /// Early exit from the rendezvous (idempotent): call when the session
-    /// can no longer query the model, e.g. right after a single-step
-    /// attack fires.
+    /// can submit no further probe before the participant is destroyed.
     void retire() noexcept;
 
    private:

@@ -21,20 +21,17 @@ obs::Span experiment_span(const char* metric) {
 
 void finish_timing(ExperimentTiming* timing, obs::Span& span,
                    std::size_t threads, std::size_t episodes,
-                   std::size_t craft_batch, std::size_t eval_batch,
-                   const char* name) {
+                   std::size_t eval_batch, const char* name) {
   span.stop();
   const double wall = span.seconds();
   if (timing) {
     timing->wall_seconds = wall;
     timing->threads = threads;
     timing->episodes = episodes;
-    timing->craft_batch = craft_batch;
     timing->eval_batch = eval_batch;
   }
   util::log_info(name, ": ", episodes, " episodes in ", wall, " s (",
-                 threads, " episode workers, craft batch ", craft_batch,
-                 ", eval batch ", eval_batch, ")");
+                 threads, " episode workers, eval batch ", eval_batch, ")");
 }
 
 }  // namespace
@@ -104,8 +101,7 @@ std::vector<RewardPoint> run_reward_experiment(
                    cells[c].budget, " -> reward ", point.mean_reward,
                    " +/- ", point.stddev_reward);
   }
-  finish_timing(timing, span, threads, jobs.size(),
-                resolve_craft_batch(jobs), resolve_eval_batch(jobs),
+  finish_timing(timing, span, threads, jobs.size(), resolve_eval_batch(jobs),
                 "reward experiment");
   return points;
 }
@@ -167,8 +163,7 @@ std::vector<TransferabilityPoint> run_transferability_experiment(
                    cells[c].budget, " -> rate ", point.transfer_rate, " (",
                    samples, " samples)");
   }
-  finish_timing(timing, span, threads, jobs.size(),
-                resolve_craft_batch(jobs), resolve_eval_batch(jobs),
+  finish_timing(timing, span, threads, jobs.size(), resolve_eval_batch(jobs),
                 "transferability experiment");
   return points;
 }
@@ -264,8 +259,7 @@ std::vector<TimeBombPoint> run_timebomb_experiment(
                    config.epsilon_linf, " delay ", delay, " -> rate ",
                    point.success_rate, " (", trials, " trials)");
   }
-  finish_timing(timing, span, threads, jobs.size(),
-                resolve_craft_batch(jobs), resolve_eval_batch(jobs),
+  finish_timing(timing, span, threads, jobs.size(), resolve_eval_batch(jobs),
                 "timebomb experiment");
   return points;
 }

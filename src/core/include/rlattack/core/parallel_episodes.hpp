@@ -34,9 +34,6 @@ struct ExperimentTiming {
   double wall_seconds = 0.0;
   std::size_t threads = 1;   ///< resolved episode-worker count
   std::size_t episodes = 0;  ///< total episodes executed
-  /// Concurrent-host count of the batched craft substrate (0 = the run used
-  /// the unbatched per-episode model path).
-  std::size_t craft_batch = 0;
   /// Concurrent-host count of the episode-batched evaluation substrate
   /// (0 = per-step victim/approximator queries ran single-row).
   std::size_t eval_batch = 0;
@@ -49,22 +46,12 @@ struct ExperimentTiming {
 /// code path (no clones, no pool dispatch).
 std::size_t resolve_experiment_threads(std::size_t requested);
 
-/// Concurrent-host count the batched craft substrate will use for this job
-/// list: min(attack::craft_batch_width(), jobs.size()) when the substrate
-/// is enabled (RLATTACK_CRAFT_BATCH), the craft cache is on, and at least
-/// two jobs can actually enroll (an attacked policy with a model-querying
-/// attack). 0 means run_episode_jobs takes the unbatched path — the
-/// substrate is off, or the job list cannot form a rendezvous worth the
-/// gather/scatter overhead.
-std::size_t resolve_craft_batch(const std::vector<EpisodeJob>& jobs);
-
 /// Concurrent-host count of the episode-batched evaluation substrate:
-/// min(attack::eval_batch_width(), jobs.size()) when the substrate is
-/// enabled (RLATTACK_EVAL_BATCH), the craft cache is on, and the job list
-/// has at least two episodes. Unlike resolve_craft_batch there is no
-/// enrollability filter — every episode queries the victim policy every
+/// min(32, jobs.size()) when the substrate is enabled
+/// (attack::eval_batch_enabled(), RLATTACK_EVAL_BATCH) and the job list has
+/// at least two episodes — every episode queries the victim policy every
 /// step, so every job benefits from the fused act_batch forwards. 0 means
-/// run_episode_jobs falls through to the next path.
+/// run_episode_jobs takes the serial or pooled-clone path.
 std::size_t resolve_eval_batch(const std::vector<EpisodeJob>& jobs);
 
 /// Runs every job against (victim, model) for `game`, returning outcomes
@@ -75,28 +62,19 @@ std::size_t resolve_eval_batch(const std::vector<EpisodeJob>& jobs);
 ///      many host threads share ONE attack::BatchedCraftPlanner bound to
 ///      the ORIGINAL victim and model — no clones at all. Per-step victim
 ///      policy queries fuse into shared act_batch forwards through the
-///      planner's victim handler, and enrolled episodes' approximator
-///      queries batch through the same rendezvous, so this path subsumes
-///      the craft substrate (it batches craft probes even when
-///      RLATTACK_CRAFT_BATCH=0 — the craft kill switch selects the
-///      reporting/fallback path, not per-probe routing, and rows are
-///      bit-identical either way).
-///   2. Batched craft substrate (resolve_craft_batch(jobs) > 0): that many
-///      host threads share ONE attack::BatchedCraftPlanner bound to the
-///      original `model`; every approximator query of every concurrently
-///      running episode lands in one shared tail GEMM batch. Hosts use
-///      pooled victim clones; the model is never cloned (all access is
-///      serialized inside the planner flush). Host count comes from the
-///      substrate width, not `threads` — on a single-core machine the win
-///      is arithmetic intensity, not parallelism.
-///   3. threads == 1: jobs run in order on the calling thread against the
-///      original victim and model (historical serial path).
-///   4. threads > 1: min(threads, jobs) workers — each with its own pooled
+///      planner's victim handler, and every approximator query (forensics
+///      probes and crafts) batches through the same rendezvous into shared
+///      tail GEMMs. The host count comes from the rendezvous width, not
+///      `threads` — on a single-core machine the win is arithmetic
+///      intensity, not parallelism.
+///   2. threads == 1: jobs run in order on the calling thread against the
+///      original victim and model (serial path).
+///   3. threads > 1: min(threads, jobs) workers — each with its own pooled
 ///      victim/model clone and a per-job AttackSession + attack instance —
 ///      pull jobs from a shared queue over the global pool.
 ///
-/// Worker victim/model clones persist across invocations in a
-/// process-lifetime pool and are re-synchronized in place (reset_from)
+/// The pooled-clone path's victim/model clones persist across invocations
+/// in a process-lifetime pool and are re-synchronized in place (reset_from)
 /// instead of reconstructed; concurrent invocations serialize on that
 /// pool. Outcomes land at their job index and every episode is a pure
 /// function of its seed, so the result vector is bit-identical across all

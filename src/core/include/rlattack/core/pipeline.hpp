@@ -80,12 +80,11 @@ class AttackSession {
                 attack::Budget budget);
 
   /// Runs one episode under `policy` with full determinism from
-  /// `episode_seed`. With a non-null `planner`, every approximator query of
-  /// the episode routes through the planner's rendezvous so concurrent
-  /// sessions share batched tail GEMMs: the session enrolls a participant
-  /// up front when its attack can query the model, retires it as soon as no
-  /// further queries can come (single-step attacks retire right after
-  /// firing), and the outcome stays bit-identical to the unbatched run.
+  /// `episode_seed`. With a non-null `planner` (which must carry a victim
+  /// handler), every victim and approximator query of the episode routes
+  /// through the planner's rendezvous so concurrent sessions share batched
+  /// forwards: the session stays enrolled as a participant for the whole
+  /// episode, and the outcome stays bit-identical to the unbatched run.
   EpisodeOutcome run_episode(const AttackPolicy& policy,
                              std::uint64_t episode_seed,
                              attack::BatchedCraftPlanner* planner = nullptr);

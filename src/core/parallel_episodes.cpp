@@ -1,5 +1,6 @@
 #include "rlattack/core/parallel_episodes.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -14,6 +15,16 @@
 
 namespace rlattack::core {
 
+namespace {
+
+/// Host-thread count upper bound of the episode-batched driver (the
+/// rendezvous width). Batching is an arithmetic-intensity win, so the width
+/// is decoupled from the machine's thread count: on the 1-core reference
+/// box 32 beat 16 on every fig5/fig6 row, and widths beyond ~32 were flat.
+constexpr std::size_t kEvalBatchWidth = 32;
+
+}  // namespace
+
 std::size_t resolve_experiment_threads(std::size_t requested) {
   if (requested > 0) return requested;
   if (const std::optional<long> v =
@@ -23,32 +34,12 @@ std::size_t resolve_experiment_threads(std::size_t requested) {
   return util::ThreadPool::global().size();
 }
 
-std::size_t resolve_craft_batch(const std::vector<EpisodeJob>& jobs) {
-  if (!attack::craft_batch_enabled() || !attack::craft_cache_enabled())
-    return 0;
-  // A rendezvous needs at least two episodes that will actually query the
-  // approximator; clean runs and Gaussian noise never enroll.
-  std::size_t enrollable = 0;
-  for (const EpisodeJob& job : jobs)
-    if (job.policy.mode != AttackPolicy::Mode::kNone &&
-        job.attack != attack::Kind::kGaussian)
-      ++enrollable;
-  if (enrollable < 2) return 0;
-  const std::size_t hosts = std::min(attack::craft_batch_width(), jobs.size());
-  return hosts >= 2 ? hosts : 0;
-}
-
 std::size_t resolve_eval_batch(const std::vector<EpisodeJob>& jobs) {
-  // Gated on the craft cache like resolve_craft_batch: enrolled episodes
-  // route their approximator queries through the planner, whose flush is
-  // built on the cached-encoding batch calls.
-  if (!attack::eval_batch_enabled() || !attack::craft_cache_enabled())
-    return 0;
+  if (!attack::eval_batch_enabled()) return 0;
   // Every episode queries the victim every step, so every job can enroll —
   // a rendezvous just needs two of them.
   if (jobs.size() < 2) return 0;
-  const std::size_t hosts = std::min(attack::eval_batch_width(), jobs.size());
-  return hosts >= 2 ? hosts : 0;
+  return std::min(kEvalBatchWidth, jobs.size());
 }
 
 namespace {
@@ -86,8 +77,8 @@ std::uint64_t hash_params(const std::vector<nn::Param>& params) {
   return h;
 }
 
-/// Process-lifetime worker pool: one victim clone (and, for the threaded
-/// path, one model clone) per slot, re-synchronized in place on every
+/// Process-lifetime worker pool of the pooled-clone path: one victim clone
+/// and one model clone per slot, re-synchronized in place on every
 /// acquisition instead of reconstructed. Clone construction costs a full
 /// set of network allocations per episode batch; experiment grids invoke
 /// run_episode_jobs hundreds of times against the same victim/model, so
@@ -109,11 +100,11 @@ WorkerPool& worker_pool() {
   return pool;
 }
 
-/// Ensures slots [0, count) hold a victim clone of `victim` (and a model
-/// clone of `model` when non-null), reusing existing clones via reset_from
-/// and rebuilding only on architecture mismatch.
+/// Ensures slots [0, count) hold a victim clone of `victim` and a model
+/// clone of `model`, reusing existing clones via reset_from and rebuilding
+/// only on architecture mismatch.
 void sync_workers_locked(WorkerPool& pool, rl::Agent& victim,
-                         seq2seq::Seq2SeqModel* model, std::size_t count)
+                         seq2seq::Seq2SeqModel& model, std::size_t count)
     RLATTACK_REQUIRES(pool.mu) {
   if (pool.workers.size() < count) pool.workers.resize(count);
   for (std::size_t w = 0; w < count; ++w) {
@@ -127,15 +118,14 @@ void sync_workers_locked(WorkerPool& pool, rl::Agent& victim,
     } else {
       slot.victim = victim.clone();
     }
-    if (model == nullptr) continue;
     if (slot.model != nullptr) {
       try {
-        slot.model->reset_from(*model);
+        slot.model->reset_from(model);
       } catch (const std::logic_error&) {
-        slot.model = model->clone();
+        slot.model = model.clone();
       }
     } else {
-      slot.model = model->clone();
+      slot.model = model.clone();
     }
   }
 }
@@ -144,22 +134,19 @@ void sync_workers_locked(WorkerPool& pool, rl::Agent& victim,
 /// source — a stale or partially reset clone would silently break the
 /// run-order reduction's bit-identical-rows contract.
 void verify_workers_locked(WorkerPool& pool, rl::Agent& victim,
-                           seq2seq::Seq2SeqModel* model, std::size_t count)
+                           seq2seq::Seq2SeqModel& model, std::size_t count)
     RLATTACK_REQUIRES(pool.mu) {
   const std::uint64_t victim_hash = hash_params(victim.network().params());
-  const std::uint64_t model_hash =
-      model != nullptr ? hash_params(model->params()) : 0;
+  const std::uint64_t model_hash = hash_params(model.params());
   for (std::size_t w = 0; w < count; ++w) {
     RLATTACK_CHECK(
         hash_params(pool.workers[w].victim->network().params()) == victim_hash,
         "run_episode_jobs: victim clone " + std::to_string(w) +
             " diverges from source parameters before any job ran");
-    if (model != nullptr) {
-      RLATTACK_CHECK(
-          hash_params(pool.workers[w].model->params()) == model_hash,
-          "run_episode_jobs: model clone " + std::to_string(w) +
-              " diverges from source parameters before any job ran");
-    }
+    RLATTACK_CHECK(
+        hash_params(pool.workers[w].model->params()) == model_hash,
+        "run_episode_jobs: model clone " + std::to_string(w) +
+            " diverges from source parameters before any job ran");
   }
 }
 
@@ -188,76 +175,16 @@ void checked_stream_purity(const EpisodeJob& job, std::size_t index,
   }
 }
 
-/// Batched craft substrate: `hosts` plain threads share one planner bound
-/// to the ORIGINAL model. Hosts must NOT be global-pool workers — with a
-/// pool of one thread the first host would block inside the rendezvous
-/// waiting for hosts that never get scheduled. The planner serializes all
-/// model access inside its flush, so the hosts need no model clones; the
-/// inner GEMMs still reach the global pool through its external-submitter
-/// path.
-std::vector<EpisodeOutcome> run_jobs_batched(rl::Agent& victim, env::Game game,
-                                             seq2seq::Seq2SeqModel& model,
-                                             const std::vector<EpisodeJob>& jobs,
-                                             std::size_t hosts) {
-  std::vector<EpisodeOutcome> outcomes(jobs.size());
-  obs::TraceScope trace("episodes.dispatch", "jobs",
-                        static_cast<double>(jobs.size()), "hosts",
-                        static_cast<double>(hosts));
-  WorkerPool& pool = worker_pool();
-  util::MutexLock pool_lock(pool.mu);
-  {
-    obs::TraceScope sync_trace("episodes.sync_workers", "count",
-                               static_cast<double>(hosts));
-    sync_workers_locked(pool, victim, /*model=*/nullptr, hosts);
-  }
-  if constexpr (util::kCheckedBuild)
-    verify_workers_locked(pool, victim, /*model=*/nullptr, hosts);
-  const std::vector<std::uint64_t> expected = checked_stream_hashes(jobs);
-
-  // Hoist each host's victim out of the guarded pool while the lock is
-  // held: the host threads below must not touch pool.workers themselves
-  // (they hold no lock — this function holds mu for them until the join).
-  std::vector<rl::Agent*> host_victims(hosts);
-  for (std::size_t h = 0; h < hosts; ++h)
-    host_victims[h] = pool.workers[h].victim.get();
-
-  attack::BatchedCraftPlanner planner(model);
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  {
-    std::vector<std::thread> host_threads;
-    host_threads.reserve(hosts);
-    for (std::size_t h = 0; h < hosts; ++h) {
-      host_threads.emplace_back([&, h] {
-        rl::Agent& host_victim = *host_victims[h];
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= jobs.size()) return;
-          checked_stream_purity(jobs[i], i, expected);
-          outcomes[i] =
-              run_one_job(host_victim, game, model, jobs[i], &planner);
-          completed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& t : host_threads) t.join();
-  }
-  if constexpr (util::kCheckedBuild) {
-    RLATTACK_CHECK(completed.load(std::memory_order_relaxed) == jobs.size(),
-                   "run_episode_jobs: " + std::to_string(completed.load()) +
-                       " of " + std::to_string(jobs.size()) +
-                       " jobs completed — outcome vector has holes");
-  }
-  return outcomes;
-}
-
 /// Episode-batched evaluation: `hosts` plain threads share one planner
 /// bound to the ORIGINAL victim and model — no clones, no worker pool. The
 /// planner's victim handler fuses the concurrent episodes' per-step policy
-/// queries into one act_batch forward, and enrolled episodes' approximator
-/// queries batch through the same rendezvous exactly as run_jobs_batched's
-/// do. All victim and model access happens inside the flush, one thread at
-/// a time; host threads only ever block at the rendezvous.
+/// queries into one act_batch forward, and their approximator queries batch
+/// through the same rendezvous into shared tail GEMMs. All victim and model
+/// access happens inside the flush, one thread at a time; host threads only
+/// ever block at the rendezvous. Hosts must NOT be global-pool workers —
+/// with a pool of one thread the first host would block inside the
+/// rendezvous waiting for hosts that never get scheduled; the inner GEMMs
+/// still reach the global pool through its external-submitter path.
 std::vector<EpisodeOutcome> run_jobs_eval_batched(
     rl::Agent& victim, env::Game game, seq2seq::Seq2SeqModel& model,
     const std::vector<EpisodeJob>& jobs, std::size_t hosts) {
@@ -323,14 +250,6 @@ std::vector<EpisodeOutcome> run_episode_jobs(
     return run_jobs_eval_batched(victim, game, model, jobs, eval_hosts);
   }
 
-  const std::size_t batch_hosts = resolve_craft_batch(jobs);
-  if (batch_hosts > 0) {
-    obs::MetricsRegistry::global()
-        .gauge("experiment.workers")
-        .set(static_cast<double>(batch_hosts));
-    return run_jobs_batched(victim, game, model, jobs, batch_hosts);
-  }
-
   const std::size_t workers =
       std::min(threads == 0 ? std::size_t{1} : threads, jobs.size());
   obs::MetricsRegistry::global()
@@ -354,14 +273,15 @@ std::vector<EpisodeOutcome> run_episode_jobs(
   {
     obs::TraceScope sync_trace("episodes.sync_workers", "count",
                                static_cast<double>(workers));
-    sync_workers_locked(pool, victim, &model, workers);
+    sync_workers_locked(pool, victim, model, workers);
   }
   if constexpr (util::kCheckedBuild)
-    verify_workers_locked(pool, victim, &model, workers);
+    verify_workers_locked(pool, victim, model, workers);
   const std::vector<std::uint64_t> expected = checked_stream_hashes(jobs);
 
-  // Hoisted clone pointers, same reasoning as run_jobs_batched: the chunk
-  // workers run without the lock this function keeps held across the join.
+  // Hoist each worker's clones out of the guarded pool while the lock is
+  // held: the chunk workers run without the lock this function keeps held
+  // across the join, so they must not touch pool.workers themselves.
   std::vector<rl::Agent*> worker_victims(workers);
   std::vector<seq2seq::Seq2SeqModel*> worker_models(workers);
   for (std::size_t w = 0; w < workers; ++w) {

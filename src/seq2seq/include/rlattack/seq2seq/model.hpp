@@ -28,14 +28,6 @@
 
 namespace rlattack::seq2seq {
 
-/// Whether the attention decoder runs its batched-GEMM formulation (default)
-/// or the retained scalar per-(b, t) loops. The two are bit-identical under
-/// the scalar GEMM kernel (tests/seq2seq_test.cpp pins this); the switch is
-/// the debugging escape hatch, initialised from RLATTACK_ATTN_GEMM
-/// ("0" disables, anything else — including unset — enables).
-bool attention_gemm_enabled() noexcept;
-void set_attention_gemm_enabled(bool enabled) noexcept;
-
 struct Seq2SeqConfig {
   std::size_t input_steps = 10;   ///< n — history length
   std::size_t output_steps = 1;   ///< m — 1 ("action") or 10 ("Seq")
@@ -214,23 +206,13 @@ class Seq2SeqModel {
   nn::Tensor repeat_embedding(const nn::Tensor& embedding) const;
   /// [B, m, E] gradient -> [B, E]: RepeatVector backward (sum over copies).
   nn::Tensor sum_over_steps(const nn::Tensor& grad_repeated) const;
-  /// Keys K[b, i, :] = W_a * E[b, i, :] (Luong "general" score).
-  nn::Tensor project_keys(const nn::Tensor& encoder) const;
-  /// RepeatVector + decoder LSTM + attention mixing + output dense; reads
+  /// RepeatVector + decoder LSTM + attention::attend + output dense; reads
   /// `encoder`/`keys` (members on the full path, HistoryEncoding fields on
-  /// the cached path) and fills cached_decoder_/cached_alpha_.
+  /// the cached path) and fills cached_decoder_/cached_alpha_, which the
+  /// attention::mix_backward calls of every backward path read.
   nn::Tensor decode_attention(const nn::Tensor& embedding,
                               const nn::Tensor& encoder,
                               const nn::Tensor& keys);
-  /// Attention-mixing backward: returns d loss / d decoder states. With
-  /// non-null `grad_encoder`/`grad_keys` also accumulates the
-  /// history-facing gradients; the cached path passes nullptr and the
-  /// whole history branch is skipped.
-  nn::Tensor attention_mix_backward(const nn::Tensor& grad_concat,
-                                    const nn::Tensor& encoder,
-                                    const nn::Tensor& keys,
-                                    nn::Tensor* grad_encoder,
-                                    nn::Tensor* grad_keys);
 
   Seq2SeqConfig config_;
   std::uint64_t seed_ = 0;       ///< construction seed, reused by clone()
@@ -264,11 +246,9 @@ class Seq2SeqModel {
   nn::Tensor cached_keys_;      // [B, n, E]
   nn::Tensor cached_decoder_;   // [B, m, E]
   nn::Tensor cached_alpha_;     // [B, m, n]
-  // Reusable scratch for the attention inner loops (scores / dalpha are
-  // per-(b, t) temporaries; keeping them as members avoids a heap
-  // allocation per output position). Model instances are never shared
-  // across threads (episode workers clone), so plain members are safe.
-  std::vector<float> attn_scores_scratch_;
+  // Reusable attention::mix_backward scratch (avoids a heap allocation per
+  // backward). Model instances are never shared across threads (episode
+  // workers clone), so a plain member is safe.
   std::vector<float> attn_dalpha_scratch_;
 };
 

@@ -1,46 +1,24 @@
 #include "rlattack/seq2seq/model.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "rlattack/obs/metrics.hpp"
+#include "rlattack/seq2seq/attention.hpp"
 #include "rlattack/util/check.hpp"
-#include "rlattack/util/env.hpp"
 
 #include "rlattack/nn/activations.hpp"
 #include "rlattack/nn/conv2d.hpp"
 #include "rlattack/nn/dense.hpp"
 #include "rlattack/nn/init.hpp"
-#include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/nn/lstm.hpp"
 
 namespace rlattack::seq2seq {
 
 namespace {
 
-using nn::kernels::sgemm;
-using nn::kernels::Trans;
-
-std::atomic<bool> g_attention_gemm = [] {
-  return !util::env::is_zero(util::env::Var::kAttnGemm);
-}();
-
 std::atomic<std::uint64_t> g_model_constructions{0};
-
-}  // namespace
-
-bool attention_gemm_enabled() noexcept {
-  return g_attention_gemm.load(std::memory_order_relaxed);
-}
-
-void set_attention_gemm_enabled(bool enabled) noexcept {
-  g_attention_gemm.store(enabled, std::memory_order_relaxed);
-}
-
-namespace {
 
 /// Per-frame conv feature extractor for image heads; returns the feature
 /// width. Scaled-down analogue of Table 2's conv stacks (16x16 frames vs
@@ -264,108 +242,12 @@ nn::Tensor Seq2SeqModel::sum_over_steps(const nn::Tensor& grad_repeated) const {
   return grad_embedding;
 }
 
-nn::Tensor Seq2SeqModel::project_keys(const nn::Tensor& encoder) const {
-  // Keys K[b, i, :] = W_a * E[b, i, :]  (Luong "general" score).
-  const std::size_t b_count = encoder.dim(0);
-  const std::size_t n = encoder.dim(1);
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-  nn::Tensor keys({b_count, n, e});
-  if (attention_gemm_enabled()) {
-    // One GEMM over the flattened [B*n, H] encoder states: K = E W_a^T.
-    sgemm(Trans::kNo, Trans::kYes, b_count * n, e, h, encoder.raw(), h,
-          attn_w_.raw(), h, keys.raw(), e, false);
-    return keys;
-  }
-  for (std::size_t b = 0; b < b_count; ++b)
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t k = 0; k < e; ++k) {
-        float acc = 0.0f;
-        for (std::size_t hh = 0; hh < h; ++hh)
-          acc += attn_w_[k * h + hh] * encoder.at3(b, i, hh);
-        keys.at3(b, i, k) = acc;
-      }
-  return keys;
-}
-
 nn::Tensor Seq2SeqModel::decode_attention(const nn::Tensor& embedding,
                                           const nn::Tensor& encoder,
                                           const nn::Tensor& keys) {
-  const std::size_t b_count = embedding.dim(0);
-  const std::size_t n = encoder.dim(1);
-  const std::size_t m = config_.output_steps;
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-
   cached_decoder_ = decoder_lstm_.forward(repeat_embedding(embedding));
-
-  // Attention weights and contexts.
-  cached_alpha_ = nn::Tensor({b_count, m, n});
-  nn::Tensor concat({b_count, m, e + h});
-  if (attention_gemm_enabled()) {
-    const std::size_t eh = e + h;
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const float* dec_b = cached_decoder_.raw() + b * m * e;
-      const float* enc_b = encoder.raw() + b * n * h;
-      const float* key_b = keys.raw() + b * n * e;
-      float* alpha_b = cached_alpha_.raw() + b * m * n;
-      float* concat_b = concat.raw() + b * m * eh;
-      // scores[t, i] = D_t . K_i, written straight into the alpha tensor and
-      // softmaxed in place per row.
-      sgemm(Trans::kNo, Trans::kYes, m, n, e, dec_b, e, key_b, e, alpha_b, n,
-            false);
-      for (std::size_t t = 0; t < m; ++t) {
-        float* row = alpha_b + t * n;
-        float mx = -std::numeric_limits<float>::infinity();
-        for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, row[i]);
-        float sum = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) {
-          row[i] = std::exp(row[i] - mx);
-          sum += row[i];
-        }
-        for (std::size_t i = 0; i < n; ++i) row[i] /= sum;
-        // Concat left half: the decoder state itself.
-        std::memcpy(concat_b + t * eh, dec_b + t * e, e * sizeof(float));
-      }
-      // Contexts c_t = sum_i alpha_i E_i fill the right h columns of the
-      // concat rows (ldc = e + h places them after each D_t).
-      sgemm(Trans::kNo, Trans::kNo, m, h, n, alpha_b, n, enc_b, h,
-            concat_b + e, eh, false);
-    }
-    return output_dense_.forward(concat);  // [B, m, A]
-  }
-  attn_scores_scratch_.resize(n);
-  float* const scores = attn_scores_scratch_.data();
-  for (std::size_t b = 0; b < b_count; ++b) {
-    for (std::size_t t = 0; t < m; ++t) {
-      // scores_i = D_t . K_i, softmaxed over i.
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::size_t i = 0; i < n; ++i) {
-        float s = 0.0f;
-        for (std::size_t k = 0; k < e; ++k)
-          s += cached_decoder_.at3(b, t, k) * keys.at3(b, i, k);
-        scores[i] = s;
-        mx = std::max(mx, s);
-      }
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        scores[i] = std::exp(scores[i] - mx);
-        sum += scores[i];
-      }
-      for (std::size_t i = 0; i < n; ++i)
-        cached_alpha_.at3(b, t, i) = scores[i] / sum;
-      // Context c_t = sum_i alpha_i E_i; output row = [D_t ; c_t].
-      for (std::size_t k = 0; k < e; ++k)
-        concat[(b * m + t) * (e + h) + k] = cached_decoder_.at3(b, t, k);
-      for (std::size_t hh = 0; hh < h; ++hh) {
-        float c = 0.0f;
-        for (std::size_t i = 0; i < n; ++i)
-          c += cached_alpha_.at3(b, t, i) * encoder.at3(b, i, hh);
-        concat[(b * m + t) * (e + h) + e + hh] = c;
-      }
-    }
-  }
-  return output_dense_.forward(concat);  // [B, m, A]
+  return output_dense_.forward(attention::attend(
+      cached_decoder_, encoder, keys, cached_alpha_));  // [B, m, A]
 }
 
 nn::Tensor Seq2SeqModel::forward_attention(const nn::Tensor& action_history,
@@ -373,113 +255,13 @@ nn::Tensor Seq2SeqModel::forward_attention(const nn::Tensor& action_history,
                                            const nn::Tensor& current_obs) {
   // Encoder states over the observation history, and their key projection.
   cached_encoder_ = obs_encoder_.forward(obs_history);  // [B, n, H]
-  cached_keys_ = project_keys(cached_encoder_);         // [B, n, E]
+  cached_keys_ = attention::project_keys(cached_encoder_, attn_w_);
 
   // Decoder input: summed action + current-observation embeddings,
   // repeated m times (the observation history enters via attention).
   nn::Tensor embedding = action_head_.forward(action_history);
   embedding += current_head_.forward(current_obs);
   return decode_attention(embedding, cached_encoder_, cached_keys_);
-}
-
-nn::Tensor Seq2SeqModel::attention_mix_backward(const nn::Tensor& grad_concat,
-                                                const nn::Tensor& encoder,
-                                                const nn::Tensor& keys,
-                                                nn::Tensor* grad_encoder,
-                                                nn::Tensor* grad_keys) {
-  const std::size_t b_count = grad_concat.dim(0);
-  const std::size_t n = encoder.dim(1);
-  const std::size_t m = config_.output_steps;
-  const std::size_t e = config_.embed;
-  const std::size_t h = config_.lstm_hidden;
-
-  nn::Tensor grad_decoder({b_count, m, e});
-  const std::size_t eh = e + h;
-  if (attention_gemm_enabled()) {
-    attn_dalpha_scratch_.resize(m * n);
-    float* const dalpha = attn_dalpha_scratch_.data();
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const float* gz_b = grad_concat.raw() + b * m * eh;
-      const float* gc_b = gz_b + e;  // context-grad columns, lda = e + h
-      const float* enc_b = encoder.raw() + b * n * h;
-      const float* key_b = keys.raw() + b * n * e;
-      const float* dec_b = cached_decoder_.raw() + b * m * e;
-      const float* alpha_b = cached_alpha_.raw() + b * m * n;
-      float* gd_b = grad_decoder.raw() + b * m * e;
-      // Direct decoder-state gradient: the left e columns of the concat grad.
-      for (std::size_t t = 0; t < m; ++t)
-        std::memcpy(gd_b + t * e, gz_b + t * eh, e * sizeof(float));
-      // dalpha[t, i] = gc_t . E_i — strided view straight onto the context
-      // columns, no copy of the concat gradient.
-      sgemm(Trans::kNo, Trans::kYes, m, n, h, gc_b, eh, enc_b, h, dalpha, n,
-            false);
-      if (grad_encoder != nullptr)  // context sum: ge += alpha^T gc
-        sgemm(Trans::kYes, Trans::kNo, n, h, m, alpha_b, n, gc_b, eh,
-              grad_encoder->raw() + b * n * h, h, true);
-      // Softmax backward in place: ds_i = alpha_i (dalpha_i - sum_j alpha_j
-      // dalpha_j); the dalpha buffer holds ds afterwards.
-      for (std::size_t t = 0; t < m; ++t) {
-        const float* ar = alpha_b + t * n;
-        float* dr = dalpha + t * n;
-        float weighted = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) weighted += ar[i] * dr[i];
-        for (std::size_t i = 0; i < n; ++i) dr[i] = ar[i] * (dr[i] - weighted);
-      }
-      // score = D_t . K_i backward: gd += ds K, gk += ds^T D.
-      sgemm(Trans::kNo, Trans::kNo, m, e, n, dalpha, n, key_b, e, gd_b, e,
-            true);
-      if (grad_keys != nullptr)
-        sgemm(Trans::kYes, Trans::kNo, n, e, m, dalpha, n, dec_b, e,
-              grad_keys->raw() + b * n * e, e, true);
-    }
-    return grad_decoder;
-  }
-
-  // Retained scalar path (RLATTACK_ATTN_GEMM=0): same accumulation trees as
-  // the GEMM formulation above — fresh per-element accumulators added to the
-  // destination, no skip on exact-zero terms — so the two paths are
-  // bit-identical under the scalar GEMM kernel.
-  attn_dalpha_scratch_.resize(n);
-  float* const dalpha = attn_dalpha_scratch_.data();
-
-  for (std::size_t b = 0; b < b_count; ++b) {
-    for (std::size_t t = 0; t < m; ++t) {
-      const float* gz = grad_concat.raw() + (b * m + t) * eh;
-      // Direct decoder-state gradient from the concat split.
-      for (std::size_t k = 0; k < e; ++k) grad_decoder.at3(b, t, k) = gz[k];
-      const float* gc = gz + e;  // d loss / d context [H]
-
-      // d alpha_i = gc . E_i ; encoder grad from the context sum (only
-      // needed when the history branch is being propagated).
-      for (std::size_t i = 0; i < n; ++i) {
-        float da = 0.0f;
-        const float alpha = cached_alpha_.at3(b, t, i);
-        for (std::size_t hh = 0; hh < h; ++hh) {
-          da += gc[hh] * encoder.at3(b, i, hh);
-          if (grad_encoder != nullptr)
-            grad_encoder->at3(b, i, hh) += alpha * gc[hh];
-        }
-        dalpha[i] = da;
-      }
-      // Softmax backward: ds_i = alpha_i * (dalpha_i - sum_j alpha_j dalpha_j).
-      float weighted = 0.0f;
-      for (std::size_t i = 0; i < n; ++i)
-        weighted += cached_alpha_.at3(b, t, i) * dalpha[i];
-      for (std::size_t i = 0; i < n; ++i)
-        dalpha[i] = cached_alpha_.at3(b, t, i) * (dalpha[i] - weighted);
-      // score = D_t . K_i backward.
-      for (std::size_t k = 0; k < e; ++k) {
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < n; ++i) acc += dalpha[i] * keys.at3(b, i, k);
-        grad_decoder.at3(b, t, k) += acc;
-      }
-      if (grad_keys != nullptr)
-        for (std::size_t i = 0; i < n; ++i)
-          for (std::size_t k = 0; k < e; ++k)
-            grad_keys->at3(b, i, k) += dalpha[i] * cached_decoder_.at3(b, t, k);
-    }
-  }
-  return grad_decoder;
 }
 
 Seq2SeqModel::InputGrads Seq2SeqModel::backward_attention(
@@ -493,38 +275,12 @@ Seq2SeqModel::InputGrads Seq2SeqModel::backward_attention(
 
   nn::Tensor grad_encoder({b_count, n, h});
   nn::Tensor grad_keys({b_count, n, e});
-  nn::Tensor grad_decoder = attention_mix_backward(
-      grad_concat, cached_encoder_, cached_keys_, &grad_encoder, &grad_keys);
-
+  nn::Tensor grad_decoder = attention::mix_backward(
+      grad_concat, cached_decoder_, cached_alpha_, cached_encoder_,
+      cached_keys_, &grad_encoder, &grad_keys, attn_dalpha_scratch_);
   // K = E W_a^T: accumulate W_a grads and the encoder grad through the keys.
-  if (attention_gemm_enabled()) {
-    // dW_a += gk^T E and ge += gk W_a over the flattened [B*n, .] views.
-    // (Bit-equal to the scalar path below for B*n within one K block of the
-    // GEMM blocking; beyond that the two agree to rounding.)
-    sgemm(Trans::kYes, Trans::kNo, e, h, b_count * n, grad_keys.raw(), e,
-          cached_encoder_.raw(), h, attn_w_grad_.raw(), h, true);
-    sgemm(Trans::kNo, Trans::kNo, b_count * n, h, e, grad_keys.raw(), e,
-          attn_w_.raw(), h, grad_encoder.raw(), h, true);
-  } else {
-    // Scalar path: fresh per-element accumulators over the contraction, then
-    // one add into the destination — the GEMM accumulation tree.
-    for (std::size_t k = 0; k < e; ++k)
-      for (std::size_t hh = 0; hh < h; ++hh) {
-        float acc = 0.0f;
-        for (std::size_t b = 0; b < b_count; ++b)
-          for (std::size_t i = 0; i < n; ++i)
-            acc += grad_keys.at3(b, i, k) * cached_encoder_.at3(b, i, hh);
-        attn_w_grad_[k * h + hh] += acc;
-      }
-    for (std::size_t b = 0; b < b_count; ++b)
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t hh = 0; hh < h; ++hh) {
-          float acc = 0.0f;
-          for (std::size_t k = 0; k < e; ++k)
-            acc += grad_keys.at3(b, i, k) * attn_w_[k * h + hh];
-          grad_encoder.at3(b, i, hh) += acc;
-        }
-  }
+  attention::weight_backward(grad_keys, cached_encoder_, attn_w_,
+                             attn_w_grad_, grad_encoder);
 
   InputGrads grads;
   grads.obs_history = obs_encoder_.backward(grad_encoder);
@@ -572,7 +328,7 @@ HistoryEncoding Seq2SeqModel::encode_history(const nn::Tensor& action_history,
     cache.history_embedding += obs_head_.forward(obs_history);
   } else {
     cache.encoder = obs_encoder_.forward(obs_history);  // [B, n, H]
-    cache.keys = project_keys(cache.encoder);           // [B, n, E]
+    cache.keys = attention::project_keys(cache.encoder, attn_w_);
     cache.action_embedding = action_head_.forward(action_history);
   }
   return cache;
@@ -659,8 +415,9 @@ nn::Tensor Seq2SeqModel::backward_to_current(const nn::Tensor& grad_logits) {
     nn::Tensor grad_concat = output_dense_.backward(grad_logits);
     // Truncate at the cache boundary: no encoder, key or attention-weight
     // gradients — the histories are fixed for the whole craft.
-    nn::Tensor grad_decoder = attention_mix_backward(
-        grad_concat, cache.encoder, cache.keys, nullptr, nullptr);
+    nn::Tensor grad_decoder = attention::mix_backward(
+        grad_concat, cached_decoder_, cached_alpha_, cache.encoder,
+        cache.keys, nullptr, nullptr, attn_dalpha_scratch_);
     nn::Tensor grad_repeated = decoder_lstm_.backward(grad_decoder);
     grad_current = current_head_.backward(sum_over_steps(grad_repeated));
   }
@@ -811,8 +568,9 @@ nn::Tensor Seq2SeqModel::backward_to_current_batch(
     grad_current = current_head_.backward(sum_over_steps(grad_repeated));
   } else {
     nn::Tensor grad_concat = output_dense_.backward(grad_logits);
-    nn::Tensor grad_decoder = attention_mix_backward(
-        grad_concat, batch_encoder_, batch_keys_, nullptr, nullptr);
+    nn::Tensor grad_decoder = attention::mix_backward(
+        grad_concat, cached_decoder_, cached_alpha_, batch_encoder_,
+        batch_keys_, nullptr, nullptr, attn_dalpha_scratch_);
     nn::Tensor grad_repeated = decoder_lstm_.backward(grad_decoder);
     grad_current = current_head_.backward(sum_over_steps(grad_repeated));
   }

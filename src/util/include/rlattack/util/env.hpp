@@ -42,20 +42,13 @@ namespace rlattack::util::env {
     "startup log level: debug|info|warn|error or 0-3; default info")           \
   X(kSimd, "RLATTACK_SIMD",                                                    \
     "GEMM micro-kernel selection: avx2|scalar|auto; default auto")             \
-  X(kAttnGemm, "RLATTACK_ATTN_GEMM",                                           \
-    "0 disables the GEMM-ified attention decoder (scalar parity path)")        \
   X(kMetrics, "RLATTACK_METRICS",                                              \
     "off|0|false disables telemetry recording at startup")                     \
   X(kMetricsOut, "RLATTACK_METRICS_OUT",                                       \
     "path for the process-exit METRICS JSON export")                           \
-  X(kCraftCache, "RLATTACK_CRAFT_CACHE",                                       \
-    "0 disables the craft-context history-encoding cache")                     \
-  X(kCraftBatch, "RLATTACK_CRAFT_BATCH",                                       \
-    "0 disables the batched craft substrate; an integer > 1 sets the "         \
-    "flush width (default 32)")                                                \
   X(kEvalBatch, "RLATTACK_EVAL_BATCH",                                         \
-    "0 disables the episode-batched evaluation substrate; an integer > 1 "     \
-    "sets the rendezvous width (default 32)")                                  \
+    "0 disables the episode-batched evaluation substrate (the serial and "     \
+    "pooled-clone drivers run instead)")                                       \
   X(kBenchScale, "RLATTACK_BENCH_SCALE",                                       \
     "multiplier on bench grid sizes (episodes/epochs); default 1.0")           \
   X(kBenchCompare, "RLATTACK_BENCH_COMPARE",                                   \
@@ -104,9 +97,5 @@ std::optional<long> get_long(Var v) noexcept;
 
 /// Strictly parsed double: the full value must parse, otherwise nullopt.
 std::optional<double> get_double(Var v) noexcept;
-
-/// Shared "kill switch" idiom: true iff the value is exactly "0". Several
-/// knobs (craft cache, attention GEMM) are on unless explicitly zeroed.
-bool is_zero(Var v) noexcept;
 
 }  // namespace rlattack::util::env

@@ -357,20 +357,9 @@ TEST(Attack, PredictActionsShape) {
   for (std::size_t a : actions) EXPECT_LT(a, 2u);
 }
 
-/// Restores the process-wide craft-cache flag on scope exit so a failing
-/// assertion can't leak a disabled cache into later tests.
-class CraftCacheGuard {
- public:
-  CraftCacheGuard() : saved_(craft_cache_enabled()) {}
-  ~CraftCacheGuard() { set_craft_cache_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 TEST(Attack, CraftContextMatchesFreeHelpersBitExactly) {
-  CraftCacheGuard guard;
-  set_craft_cache_enabled(true);
+  // The full-forward free helpers are the parity oracle of the cached
+  // craft path.
   auto model = trained_toy_model(/*m=*/2);
   util::Rng rng(21);
   CraftInputs inputs = toy_inputs(rng);
@@ -402,8 +391,6 @@ TEST(Attack, AnchoredGradientFusedProbeMatchesSeparateQueriesBitExactly) {
   // A single-participant planner flushes inline on every submit, so the
   // fused kAnchorGradient probe can be exercised synchronously and compared
   // against a fresh context asking predict + gradient separately.
-  CraftCacheGuard guard;
-  set_craft_cache_enabled(true);
   auto model = trained_toy_model(/*m=*/2);
   util::Rng rng(23);
   CraftInputs inputs = toy_inputs(rng);
@@ -434,10 +421,11 @@ TEST(Attack, AnchoredGradientFusedProbeMatchesSeparateQueriesBitExactly) {
                std::logic_error);
 }
 
-TEST(Attack, EveryAttackBitIdenticalWithCacheOnAndOff) {
-  // The uncached path is the parity oracle: every built-in attack must emit
-  // the exact same bytes whether crafting runs cached or not.
-  CraftCacheGuard guard;
+TEST(Attack, EveryAttackBitIdenticalThroughPlanner) {
+  // Routing a craft through the planner rendezvous must not change a bit:
+  // every built-in attack emits the same bytes through a single-row
+  // CraftContext as through a single-participant planner-backed one (whose
+  // submits flush inline, so the batched model calls run at N = 1).
   auto model = trained_toy_model(/*m=*/2);
   util::Rng rng(22);
   CraftInputs inputs = toy_inputs(rng);
@@ -449,18 +437,24 @@ TEST(Attack, EveryAttackBitIdenticalWithCacheOnAndOff) {
       Goal goal;
       goal.position = 1;
       AttackPtr attack = make_attack(kind);
-      set_craft_cache_enabled(true);
-      util::Rng rng_on(7);
-      nn::Tensor on =
-          attack->perturb(*model, inputs, goal, budget, bounds, rng_on);
-      set_craft_cache_enabled(false);
-      util::Rng rng_off(7);
-      nn::Tensor off =
-          attack->perturb(*model, inputs, goal, budget, bounds, rng_off);
-      ASSERT_TRUE(on.same_shape(off));
-      for (std::size_t i = 0; i < on.size(); ++i)
-        ASSERT_EQ(on[i], off[i])
+      CraftContext single(*model, inputs);
+      util::Rng rng_single(7);
+      nn::Tensor direct =
+          attack->perturb(single, goal, budget, bounds, rng_single);
+      BatchedCraftPlanner planner(*model);
+      BatchedCraftPlanner::Participant participant(planner);
+      CraftContext batched(planner, inputs);
+      util::Rng rng_batched(7);
+      nn::Tensor routed =
+          attack->perturb(batched, goal, budget, bounds, rng_batched);
+      ASSERT_TRUE(direct.same_shape(routed));
+      for (std::size_t i = 0; i < direct.size(); ++i)
+        ASSERT_EQ(direct[i], routed[i])
             << attack_name(kind) << " diverges at element " << i;
+      EXPECT_EQ(single.queries_forward(), batched.queries_forward())
+          << attack_name(kind);
+      EXPECT_EQ(single.queries_gradient(), batched.queries_gradient())
+          << attack_name(kind);
     }
   }
 }

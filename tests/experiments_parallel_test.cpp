@@ -12,10 +12,13 @@
 
 #include "rlattack/attack/batch_planner.hpp"
 #include "rlattack/core/experiments.hpp"
+#include "rlattack/core/parallel_episodes.hpp"
+#include "rlattack/env/factory.hpp"
 #include "rlattack/obs/forensics.hpp"
 #include "rlattack/obs/metrics.hpp"
 #include "rlattack/obs/trace.hpp"
 #include "rlattack/rl/agent.hpp"
+#include "rlattack/rl/factory.hpp"
 #include "rlattack/seq2seq/model.hpp"
 
 namespace rlattack::core {
@@ -305,108 +308,6 @@ TEST_F(ExperimentsParallelTest, TraceOnOffRowsBitIdentical) {
   }
 }
 
-// The craft-context cache (encode (A_{t-1}, S_{t-1}) once per attack,
-// iterate only the s_t branch) must be invisible in every experiment
-// artefact: all iterative-attack rows are byte-identical with the cache on
-// vs off, at experiment threads 1 and 4. The uncached path is the oracle.
-TEST_F(ExperimentsParallelTest, CraftCacheOnOffRowsBitIdentical) {
-  const bool saved = attack::craft_cache_enabled();
-  Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  // The iterative attacks reuse one encoding the most — PGD/CW/JSMA are
-  // exactly where a cache bug would surface as drifting rows.
-  cfg.attacks = {attack::Kind::kPgd, attack::Kind::kCw, attack::Kind::kJsma};
-  cfg.l2_budgets = {0.0, 0.5};
-  cfg.runs = 3;
-  cfg.seed = 2000;
-
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
-  for (bool enabled : {true, false}) {
-    attack::set_craft_cache_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      results.push_back(run_reward_experiment(zoo, cfg, nullptr));
-    }
-  }
-  attack::set_craft_cache_enabled(saved);
-
-  const auto& reference = results.front();
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    ASSERT_EQ(results[v].size(), reference.size()) << "variant " << v;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(results[v][i].attack, reference[i].attack)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].l2_budget, reference[i].l2_budget)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_reward, reference[i].mean_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].stddev_reward, reference[i].stddev_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_realised_l2, reference[i].mean_realised_l2)
-          << "variant " << v << " row " << i;
-    }
-  }
-}
-
-// Batched craft substrate on/off parity: routing every concurrent
-// episode's approximator queries through one shared-GEMM planner flush must
-// leave every experiment row bit-identical to the per-episode model path —
-// across thread counts, and regardless of how the rendezvous happened to
-// interleave the probes.
-TEST_F(ExperimentsParallelTest, CraftBatchOnOffRowsBitIdentical) {
-  const bool saved = attack::craft_batch_enabled();
-  Zoo zoo = make_tiny_zoo();
-  RewardExperimentConfig cfg;
-  cfg.game = env::Game::kCartPole;
-  cfg.algorithm = rl::Algorithm::kDqn;
-  // One single-query attack (FGSM), one iterative (PGD) and the
-  // query-free Gaussian control: flushes mix enrolled probe kinds with
-  // episodes that never enroll at all.
-  cfg.attacks = {attack::Kind::kGaussian, attack::Kind::kFgsm,
-                 attack::Kind::kPgd};
-  cfg.l2_budgets = {0.0, 0.5};
-  cfg.runs = 3;
-  cfg.seed = 3000;
-
-  std::vector<std::vector<RewardPoint>> results;  // [on/off][threads 1/4]
-  std::vector<std::size_t> craft_batches;
-  for (bool enabled : {true, false}) {
-    attack::set_craft_batch_enabled(enabled);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      zoo.set_experiment_threads(threads);
-      ExperimentTiming timing;
-      results.push_back(run_reward_experiment(zoo, cfg, &timing));
-      craft_batches.push_back(timing.craft_batch);
-    }
-  }
-  attack::set_craft_batch_enabled(saved);
-
-  // The substrate actually engaged when enabled and stood down when killed.
-  EXPECT_GT(craft_batches[0], 1u);
-  EXPECT_GT(craft_batches[1], 1u);
-  EXPECT_EQ(craft_batches[2], 0u);
-  EXPECT_EQ(craft_batches[3], 0u);
-
-  const auto& reference = results.front();
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    ASSERT_EQ(results[v].size(), reference.size()) << "variant " << v;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(results[v][i].attack, reference[i].attack)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].l2_budget, reference[i].l2_budget)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_reward, reference[i].mean_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].stddev_reward, reference[i].stddev_reward)
-          << "variant " << v << " row " << i;
-      EXPECT_EQ(results[v][i].mean_realised_l2, reference[i].mean_realised_l2)
-          << "variant " << v << " row " << i;
-    }
-  }
-}
-
 // Episode-batched evaluation on/off parity: fusing every concurrent
 // episode's per-step victim policy query (and its approximator probes) into
 // shared rendezvous forwards must leave every experiment row bit-identical
@@ -419,11 +320,12 @@ TEST_F(ExperimentsParallelTest, EvalBatchOnOffRowsBitIdentical) {
   RewardExperimentConfig cfg;
   cfg.game = env::Game::kCartPole;
   cfg.algorithm = rl::Algorithm::kDqn;
-  // Query-free Gaussian, single-query FGSM and iterative PGD: the eval
-  // rendezvous must stay bit-identical whether the enrolled episodes also
-  // craft through the planner or only evaluate through it.
+  // Query-free Gaussian, single-query FGSM and the iterative PGD, CW and
+  // JSMA: the eval rendezvous must stay bit-identical whether the enrolled
+  // episodes also craft through the planner or only evaluate through it,
+  // and the iterative attacks reuse one cached encoding the most.
   cfg.attacks = {attack::Kind::kGaussian, attack::Kind::kFgsm,
-                 attack::Kind::kPgd};
+                 attack::Kind::kPgd, attack::Kind::kCw, attack::Kind::kJsma};
   cfg.l2_budgets = {0.0, 0.5};
   cfg.runs = 3;
   cfg.seed = 3000;
@@ -513,7 +415,9 @@ TEST_F(ExperimentsParallelTest, EvalBatchForensicsAttributionBitIdentical) {
 // Worker-pool pinning: after a warm-up invocation has populated the
 // process-lifetime clone pool, further run_episode_jobs invocations against
 // the same victim/model must construct NO new agents or models — workers
-// are re-synchronized in place (reset_from), not rebuilt.
+// are re-synchronized in place (reset_from), not rebuilt. Eval batching is
+// switched off so the grid takes the pooled-clone path at 4 experiment
+// threads (the eval-batched path never clones).
 TEST_F(ExperimentsParallelTest, WorkerPoolStopsCloningOnceWarm) {
   Zoo zoo = make_tiny_zoo();
   RewardExperimentConfig cfg;
@@ -524,27 +428,145 @@ TEST_F(ExperimentsParallelTest, WorkerPoolStopsCloningOnceWarm) {
   cfg.runs = 4;
   cfg.seed = 4000;
   zoo.set_experiment_threads(4);
+  // Train/load the zoo artefacts first, so the counters below see only
+  // the driver's own clones.
+  (void)zoo.victim(cfg.game, cfg.algorithm);
+  ApproximatorInfo approx = zoo.approximator(cfg.game, rl::Algorithm::kDqn, 1);
 
-  // Warm-up: trains/loads the zoo artefacts and fills the worker pool for
-  // this (victim, model) architecture under both substrate settings.
-  const bool saved = attack::craft_batch_enabled();
+  const bool saved = attack::eval_batch_enabled();
+  attack::set_eval_batch_enabled(false);
+  // Occupy the pool with a victim of another architecture (an untrained
+  // A2C agent), so the cold call below must rebuild its clones no matter
+  // what earlier tests in this process left in the pool.
+  const env::EnvPtr probe_env = env::make_agent_environment(cfg.game, 1);
+  rl::AgentPtr other = rl::make_agent(rl::Algorithm::kA2c,
+                                      rl::obs_spec_of(*probe_env),
+                                      probe_env->action_count(), 1);
+  std::vector<EpisodeJob> clean_jobs(4);
+  for (std::size_t i = 0; i < clean_jobs.size(); ++i) {
+    clean_jobs[i].policy.mode = AttackPolicy::Mode::kNone;
+    clean_jobs[i].seed = 4100 + i;
+  }
+  (void)run_episode_jobs(*other, cfg.game, *approx.model, clean_jobs, 4);
+
+  const std::uint64_t agents_cold = rl::agent_constructions();
   const auto reference = run_reward_experiment(zoo, cfg, nullptr);
-  attack::set_craft_batch_enabled(!saved);
-  run_reward_experiment(zoo, cfg, nullptr);
-  attack::set_craft_batch_enabled(saved);
-
   const std::uint64_t agents_before = rl::agent_constructions();
   const std::uint64_t models_before = seq2seq::Seq2SeqModel::constructions();
   const auto warm = run_reward_experiment(zoo, cfg, nullptr);
-  EXPECT_EQ(rl::agent_constructions(), agents_before)
+  const std::uint64_t agents_after = rl::agent_constructions();
+  const std::uint64_t models_after = seq2seq::Seq2SeqModel::constructions();
+  attack::set_eval_batch_enabled(saved);
+
+  EXPECT_GT(agents_before, agents_cold)
+      << "cold experiment invocation did not clone victim agents — the "
+         "grid never reached the worker pool";
+  EXPECT_EQ(agents_after, agents_before)
       << "warm experiment invocation cloned victim agents";
-  EXPECT_EQ(seq2seq::Seq2SeqModel::constructions(), models_before)
+  EXPECT_EQ(models_after, models_before)
       << "warm experiment invocation cloned approximator models";
 
   // Reused workers must behave exactly like freshly cloned ones.
   ASSERT_EQ(warm.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i)
     EXPECT_EQ(warm[i].mean_reward, reference[i].mean_reward) << "row " << i;
+}
+
+// The eval-batched path's host count: the job count up to the fixed
+// rendezvous width of 32, none for fewer than two jobs (nothing to fuse),
+// and none at all under the RLATTACK_EVAL_BATCH=0 switch.
+TEST_F(ExperimentsParallelTest, ResolveEvalBatchCapsAtRendezvousWidth) {
+  const bool saved = attack::eval_batch_enabled();
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {0, 0}, {1, 0}, {2, 2}, {5, 5}, {32, 32}, {33, 32}, {100, 32}};
+  attack::set_eval_batch_enabled(true);
+  for (const auto& [jobs, hosts] : expected)
+    EXPECT_EQ(resolve_eval_batch(std::vector<EpisodeJob>(jobs)), hosts)
+        << jobs << " jobs";
+  attack::set_eval_batch_enabled(false);
+  for (const auto& [jobs, hosts] : expected)
+    EXPECT_EQ(resolve_eval_batch(std::vector<EpisodeJob>(jobs)), 0u)
+        << jobs << " jobs, eval batching off";
+  attack::set_eval_batch_enabled(saved);
+}
+
+// run_episode_jobs has three paths — eval-batched, serial and pooled
+// clones — and every outcome field is bit-identical across them, for every
+// attack and every policy mode in one mixed job list. Neither the
+// eval-batched nor the serial path may construct an agent or a model.
+TEST_F(ExperimentsParallelTest, RunEpisodeJobsThreePathsBitIdentical) {
+  Zoo zoo = make_tiny_zoo();
+  const env::Game game = env::Game::kCartPole;
+  rl::Agent& victim = zoo.victim(game, rl::Algorithm::kDqn);
+  ApproximatorInfo approx = zoo.approximator(game, rl::Algorithm::kDqn, 1);
+
+  std::vector<EpisodeJob> jobs;
+  std::uint64_t seed = 6000;
+  for (attack::Kind kind :
+       {attack::Kind::kGaussian, attack::Kind::kFgsm, attack::Kind::kPgd,
+        attack::Kind::kCw, attack::Kind::kJsma}) {
+    for (AttackPolicy::Mode mode :
+         {AttackPolicy::Mode::kEveryStep, AttackPolicy::Mode::kSingleStep}) {
+      EpisodeJob job;
+      job.attack = kind;
+      job.budget.epsilon = 0.5f;
+      job.policy.mode = mode;
+      job.policy.trigger_step = 3;
+      job.seed = seed++;
+      jobs.push_back(job);
+    }
+  }
+  EpisodeJob clean;
+  clean.seed = seed;
+  jobs.push_back(clean);
+
+  const bool saved = attack::eval_batch_enabled();
+  struct Path {
+    const char* name;
+    bool eval_batched;
+    std::size_t threads;
+  };
+  const Path paths[] = {{"eval-batched", true, 4},
+                        {"serial", false, 1},
+                        {"pooled clones", false, 4}};
+  std::vector<std::vector<EpisodeOutcome>> outcomes;
+  for (const Path& path : paths) {
+    attack::set_eval_batch_enabled(path.eval_batched);
+    const std::uint64_t agents = rl::agent_constructions();
+    const std::uint64_t models = seq2seq::Seq2SeqModel::constructions();
+    outcomes.push_back(
+        run_episode_jobs(victim, game, *approx.model, jobs, path.threads));
+    if (path.eval_batched || path.threads == 1) {
+      EXPECT_EQ(rl::agent_constructions(), agents) << path.name;
+      EXPECT_EQ(seq2seq::Seq2SeqModel::constructions(), models) << path.name;
+    }
+  }
+  attack::set_eval_batch_enabled(saved);
+
+  const auto& reference = outcomes.front();
+  ASSERT_EQ(reference.size(), jobs.size());
+  for (std::size_t p = 1; p < outcomes.size(); ++p) {
+    ASSERT_EQ(outcomes[p].size(), reference.size()) << paths[p].name;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const EpisodeOutcome& got = outcomes[p][i];
+      const EpisodeOutcome& want = reference[i];
+      const std::string where =
+          std::string(paths[p].name) + " job " + std::to_string(i);
+      EXPECT_EQ(got.total_reward, want.total_reward) << where;
+      EXPECT_EQ(got.steps, want.steps) << where;
+      EXPECT_EQ(got.attacks_attempted, want.attacks_attempted) << where;
+      EXPECT_EQ(got.immediate_flips, want.immediate_flips) << where;
+      EXPECT_EQ(got.actions, want.actions) << where;
+      EXPECT_EQ(got.mean_l2, want.mean_l2) << where;
+      EXPECT_EQ(got.mean_linf, want.mean_linf) << where;
+      EXPECT_EQ(got.fired_step, want.fired_step) << where;
+    }
+  }
+  // The mixed list really attacked: every attacked job perturbed at least
+  // one step, and the clean job none.
+  for (std::size_t i = 0; i + 1 < jobs.size(); ++i)
+    EXPECT_GT(reference[i].attacks_attempted, 0u) << "job " << i;
+  EXPECT_EQ(reference.back().attacks_attempted, 0u);
 }
 
 // The instrumentation that rode along with the experiment above actually

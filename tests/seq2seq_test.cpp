@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "attention_reference.hpp"
 #include "gradcheck.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/nn/loss.hpp"
+#include "rlattack/seq2seq/attention.hpp"
 #include "rlattack/seq2seq/dataset.hpp"
 #include "rlattack/seq2seq/model.hpp"
 #include "rlattack/seq2seq/trainer.hpp"
@@ -173,105 +177,206 @@ void expect_cached_path_bit_identical(const Seq2SeqConfig& cfg,
   }
 }
 
-/// The attention-GEMM contract: the batched-GEMM formulation of the
-/// attention decoder must reproduce the retained scalar per-(b, t) loops bit
-/// for bit — logits, every input gradient, and every parameter gradient —
-/// on both the full and the cached craft path. Exact equality is defined
-/// under the scalar GEMM kernel (the AVX2 kernel's FMA rounds once per term,
-/// so across SIMD kernels results agree only to rounding).
-struct AttnGemmGuard {
-  nn::kernels::SimdKernel saved_kernel = nn::kernels::active_simd_kernel();
-  bool saved_gemm = attention_gemm_enabled();
-  ~AttnGemmGuard() {
-    nn::kernels::set_simd_kernel(saved_kernel);
-    set_attention_gemm_enabled(saved_gemm);
+/// The attention-GEMM contract: every GEMM-formulated attention stage
+/// (seq2seq/attention.hpp) must reproduce its scalar loop twin
+/// (attention_reference.hpp) bit for bit — key projection, scores /
+/// softmax / contexts, the mixing backward with null, zero-filled and
+/// pre-filled history accumulators, and the W_a backward. Exact equality is
+/// defined under the scalar GEMM kernel (the AVX2 kernel's FMA rounds once
+/// per term, so across SIMD kernels results agree only to rounding).
+struct ScalarKernelGuard {
+  nn::kernels::SimdKernel saved = nn::kernels::active_simd_kernel();
+  ScalarKernelGuard() {
+    nn::kernels::set_simd_kernel(nn::kernels::SimdKernel::kScalar);
   }
+  ~ScalarKernelGuard() { nn::kernels::set_simd_kernel(saved); }
 };
 
-void expect_attention_gemm_bit_identical(const Seq2SeqConfig& cfg,
-                                         std::uint64_t seed) {
-  AttnGemmGuard guard;
-  nn::kernels::set_simd_kernel(nn::kernels::SimdKernel::kScalar);
-  Seq2SeqModel model(cfg, seed);
-  util::Rng rng(seed + 1);
-  const std::size_t b = 2;
-  nn::Tensor actions = random_tensor({b, cfg.input_steps, cfg.actions}, rng);
-  nn::Tensor obs = random_tensor({b, cfg.input_steps, cfg.frame_size()}, rng);
-  nn::Tensor current = random_tensor({b, cfg.frame_size()}, rng);
-  nn::Tensor grad_logits =
-      random_tensor({b, cfg.output_steps, cfg.actions}, rng);
+void expect_bits(const nn::Tensor& got, const nn::Tensor& want,
+                 const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << what << " differs at " << i;
+}
 
-  struct PathResult {
-    nn::Tensor logits, ga, go, gc;
-    std::vector<nn::Tensor> param_grads;
-    nn::Tensor cached_logits, cached_grad;
-  };
-  auto run = [&](bool gemm) {
-    set_attention_gemm_enabled(gemm);
-    PathResult r;
-    r.logits = model.forward(actions, obs, current);
-    model.zero_grad();
-    auto grads = model.backward(grad_logits);
-    r.ga = std::move(grads.action_history);
-    r.go = std::move(grads.obs_history);
-    r.gc = std::move(grads.current_obs);
-    for (const nn::Param& p : model.params()) r.param_grads.push_back(*p.grad);
-    model.zero_grad();
-    HistoryEncoding cache = model.encode_history(actions, obs);
-    r.cached_logits = model.forward_cached(cache, current);
-    r.cached_grad = model.backward_to_current(grad_logits);
-    model.zero_grad();
-    return r;
-  };
-  PathResult gemm = run(true);
-  PathResult scalar = run(false);
+void expect_attention_stages_bit_identical(const Seq2SeqConfig& cfg,
+                                           std::uint64_t seed) {
+  ScalarKernelGuard guard;
+  util::Rng rng(seed);
+  const std::size_t b = 2, n = cfg.input_steps, m = cfg.output_steps;
+  const std::size_t e = cfg.embed, h = cfg.lstm_hidden;
+  const nn::Tensor w = random_tensor({e, h}, rng);
+  const nn::Tensor encoder = random_tensor({b, n, h}, rng);
+  const nn::Tensor decoder = random_tensor({b, m, e}, rng);
+  const nn::Tensor grad_concat = random_tensor({b, m, e + h}, rng);
 
-  auto expect_bits = [](const nn::Tensor& got, const nn::Tensor& want,
-                        const char* what) {
-    ASSERT_TRUE(got.same_shape(want)) << what;
-    for (std::size_t i = 0; i < got.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << what << " differs at " << i;
-  };
-  expect_bits(gemm.logits, scalar.logits, "logits");
-  expect_bits(gemm.ga, scalar.ga, "action-history grad");
-  expect_bits(gemm.go, scalar.go, "obs-history grad");
-  expect_bits(gemm.gc, scalar.gc, "current-obs grad");
-  expect_bits(gemm.cached_logits, scalar.cached_logits, "cached logits");
-  expect_bits(gemm.cached_grad, scalar.cached_grad, "cached current grad");
-  ASSERT_EQ(gemm.param_grads.size(), scalar.param_grads.size());
-  const auto& params = model.params();
-  for (std::size_t i = 0; i < gemm.param_grads.size(); ++i)
-    expect_bits(gemm.param_grads[i], scalar.param_grads[i],
-                params[i].name.c_str());
+  const nn::Tensor keys = attention::project_keys(encoder, w);
+  expect_bits(keys, ref::project_keys(encoder, w), "keys");
+
+  nn::Tensor alpha, ref_alpha;
+  const nn::Tensor concat = attention::attend(decoder, encoder, keys, alpha);
+  const nn::Tensor ref_concat = ref::attend(decoder, encoder, keys, ref_alpha);
+  expect_bits(alpha, ref_alpha, "alpha");
+  expect_bits(concat, ref_concat, "concat");
+
+  // Truncated craft backward: no history-facing accumulators.
+  std::vector<float> scratch;
+  expect_bits(attention::mix_backward(grad_concat, decoder, alpha, encoder,
+                                      keys, nullptr, nullptr, scratch),
+              ref::mix_backward(grad_concat, decoder, alpha, encoder, keys,
+                                nullptr, nullptr),
+              "decoder grad (null accumulators)");
+
+  // Full backward: accumulators start zeroed (a fresh backward) or already
+  // hold gradient (accumulation must add, not overwrite).
+  for (bool prefilled : {false, true}) {
+    const std::string tag = prefilled ? " (pre-filled)" : " (zero-filled)";
+    nn::Tensor ge({b, n, h}), gk({b, n, e}), wg({e, h});
+    if (prefilled) {
+      ge = random_tensor({b, n, h}, rng);
+      gk = random_tensor({b, n, e}, rng);
+      wg = random_tensor({e, h}, rng);
+    }
+    nn::Tensor ref_ge = ge, ref_gk = gk, ref_wg = wg;
+    const nn::Tensor gd = attention::mix_backward(
+        grad_concat, decoder, alpha, encoder, keys, &ge, &gk, scratch);
+    const nn::Tensor ref_gd = ref::mix_backward(
+        grad_concat, decoder, alpha, encoder, keys, &ref_ge, &ref_gk);
+    expect_bits(gd, ref_gd, "decoder grad" + tag);
+    expect_bits(ge, ref_ge, "encoder grad" + tag);
+    expect_bits(gk, ref_gk, "key grad" + tag);
+
+    // W_a backward on identical inputs (the key and encoder gradients just
+    // computed), accumulating into the same starting state.
+    ref_ge = ge;
+    attention::weight_backward(gk, encoder, w, wg, ge);
+    ref::weight_backward(gk, encoder, w, ref_wg, ref_ge);
+    expect_bits(wg, ref_wg, "W_a grad" + tag);
+    expect_bits(ge, ref_ge, "encoder grad through keys" + tag);
+  }
 }
 
 TEST(Seq2SeqAttentionGemm, AttentionVectorBitIdentical) {
   Seq2SeqConfig cfg = tiny_config(3, 2);
   cfg.use_attention = true;
-  expect_attention_gemm_bit_identical(cfg, 15);
+  expect_attention_stages_bit_identical(cfg, 15);
 }
 
 TEST(Seq2SeqAttentionGemm, AttentionImageBitIdentical) {
+  // The image approximator's attention shapes (its conv encoder feeds the
+  // same [B, n, H] states).
   Seq2SeqConfig cfg =
       make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2);
   cfg.embed = 8;
   cfg.lstm_hidden = 6;
   cfg.use_attention = true;
-  expect_attention_gemm_bit_identical(cfg, 16);
+  expect_attention_stages_bit_identical(cfg, 16);
 }
 
-TEST(Seq2SeqAttentionGemm, PoolingVectorBitIdentical) {
-  // Pooling decoders never touch the attention code; the toggle must be a
-  // strict no-op for them.
-  expect_attention_gemm_bit_identical(tiny_config(3, 2), 17);
+/// Row b of a [B, ...] tensor as a [1, ...] tensor.
+nn::Tensor batch_row(const nn::Tensor& t, std::size_t b) {
+  std::vector<std::size_t> shape = t.shape();
+  const std::size_t stride = t.size() / shape[0];
+  shape[0] = 1;
+  nn::Tensor row(shape);
+  for (std::size_t i = 0; i < stride; ++i) row[i] = t[b * stride + i];
+  return row;
 }
 
-TEST(Seq2SeqAttentionGemm, PoolingImageBitIdentical) {
+/// The batch-row contract the batched craft planner relies on: under the
+/// active GEMM kernel, every row-wise attention result over a [B, ...]
+/// batch equals, bit for bit, the same stage run on that row alone. (The
+/// W_a gradient sums over rows and is the one result without a row view.)
+void expect_attention_rows_independent(const Seq2SeqConfig& cfg,
+                                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t b = 3, n = cfg.input_steps, m = cfg.output_steps;
+  const std::size_t e = cfg.embed, h = cfg.lstm_hidden;
+  const nn::Tensor w = random_tensor({e, h}, rng);
+  const nn::Tensor encoder = random_tensor({b, n, h}, rng);
+  const nn::Tensor decoder = random_tensor({b, m, e}, rng);
+  const nn::Tensor grad_concat = random_tensor({b, m, e + h}, rng);
+
+  std::vector<float> scratch;
+  const nn::Tensor keys = attention::project_keys(encoder, w);
+  nn::Tensor alpha;
+  const nn::Tensor concat = attention::attend(decoder, encoder, keys, alpha);
+  nn::Tensor ge({b, n, h}), gk({b, n, e}), wg({e, h});
+  const nn::Tensor gd = attention::mix_backward(
+      grad_concat, decoder, alpha, encoder, keys, &ge, &gk, scratch);
+  attention::weight_backward(gk, encoder, w, wg, ge);
+
+  for (std::size_t r = 0; r < b; ++r) {
+    const std::string tag = " (row " + std::to_string(r) + ")";
+    const nn::Tensor enc_r = batch_row(encoder, r);
+    const nn::Tensor dec_r = batch_row(decoder, r);
+    const nn::Tensor keys_r = attention::project_keys(enc_r, w);
+    expect_bits(keys_r, batch_row(keys, r), "keys" + tag);
+    nn::Tensor alpha_r;
+    const nn::Tensor concat_r =
+        attention::attend(dec_r, enc_r, keys_r, alpha_r);
+    expect_bits(alpha_r, batch_row(alpha, r), "alpha" + tag);
+    expect_bits(concat_r, batch_row(concat, r), "concat" + tag);
+    nn::Tensor ge_r({1, n, h}), gk_r({1, n, e}), wg_r({e, h});
+    const nn::Tensor gd_r =
+        attention::mix_backward(batch_row(grad_concat, r), dec_r, alpha_r,
+                                enc_r, keys_r, &ge_r, &gk_r, scratch);
+    expect_bits(gd_r, batch_row(gd, r), "decoder grad" + tag);
+    expect_bits(gk_r, batch_row(gk, r), "key grad" + tag);
+    attention::weight_backward(gk_r, enc_r, w, wg_r, ge_r);
+    expect_bits(ge_r, batch_row(ge, r), "encoder grad" + tag);
+  }
+}
+
+TEST(Seq2SeqAttentionGemm, VectorRowsIndependentOfBatch) {
+  Seq2SeqConfig cfg = tiny_config(3, 2);
+  cfg.use_attention = true;
+  expect_attention_rows_independent(cfg, 17);
+}
+
+TEST(Seq2SeqAttentionGemm, ImageRowsIndependentOfBatch) {
   Seq2SeqConfig cfg =
       make_atari_seq2seq_config({1, 8, 8}, 3, /*n=*/2, /*m=*/2);
   cfg.embed = 8;
   cfg.lstm_hidden = 6;
-  expect_attention_gemm_bit_identical(cfg, 18);
+  cfg.use_attention = true;
+  expect_attention_rows_independent(cfg, 18);
+}
+
+TEST(Seq2SeqAttentionGemm, MixBackwardScratchReuseAcrossShapes) {
+  // One scratch buffer serves every mix_backward call of a model, whose
+  // (m, n) shape differs between the full, cached and batched paths: a
+  // buffer left larger (or smaller) by an earlier call must not leak into
+  // the next result.
+  util::Rng rng(19);
+  const auto run = [&](std::size_t m, std::size_t n,
+                       std::vector<float>& scratch) {
+    util::Rng shape_rng(100 * m + n);
+    const std::size_t b = 2, e = 5, h = 4;
+    const nn::Tensor w = random_tensor({e, h}, shape_rng);
+    const nn::Tensor encoder = random_tensor({b, n, h}, shape_rng);
+    const nn::Tensor decoder = random_tensor({b, m, e}, shape_rng);
+    const nn::Tensor grad_concat = random_tensor({b, m, e + h}, shape_rng);
+    const nn::Tensor keys = attention::project_keys(encoder, w);
+    nn::Tensor alpha;
+    (void)attention::attend(decoder, encoder, keys, alpha);
+    nn::Tensor ge({b, n, h}), gk({b, n, e});
+    nn::Tensor gd = attention::mix_backward(grad_concat, decoder, alpha,
+                                            encoder, keys, &ge, &gk, scratch);
+    return std::vector<nn::Tensor>{gd, ge, gk};
+  };
+  std::vector<float> shared(7, rng.normal_f(0.0f, 1.0f));
+  for (const auto& [m, n] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {4, 6}, {1, 2}, {3, 3}, {2, 7}}) {
+    std::vector<float> fresh;
+    const auto want = run(m, n, fresh);
+    const auto got = run(m, n, shared);
+    const std::string tag =
+        " (m=" + std::to_string(m) + ", n=" + std::to_string(n) + ")";
+    expect_bits(got[0], want[0], "decoder grad" + tag);
+    expect_bits(got[1], want[1], "encoder grad" + tag);
+    expect_bits(got[2], want[2], "key grad" + tag);
+  }
 }
 
 TEST(Seq2SeqCraftCache, PoolingVectorBitIdentical) {

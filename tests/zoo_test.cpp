@@ -13,7 +13,11 @@ namespace {
 class ZooTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cache_ = ::testing::TempDir() + "rlattack_zoo_cache";
+    // One directory per case: CTest runs every case as its own process,
+    // concurrently under `ctest -j`, and a shared directory would be
+    // removed under a sibling's feet.
+    cache_ = ::testing::TempDir() + "rlattack_zoo_cache_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(cache_);
   }
   void TearDown() override { std::filesystem::remove_all(cache_); }
