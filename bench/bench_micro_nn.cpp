@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "rlattack/nn/dense.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/nn/lstm.hpp"
+#include "rlattack/nn/noisy_dense.hpp"
 #include "rlattack/seq2seq/model.hpp"
 #include "rlattack/util/thread_pool.hpp"
 
@@ -106,6 +108,20 @@ void BM_Conv2DForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_Conv2DForward);
+
+// Eval-mode NoisyDense at the Pong dueling head's first layer (256 -> 64):
+// B = 1 is one serial victim query, B = 20 a typical eval-rendezvous flush.
+void BM_NoisyDenseForward(benchmark::State& state) {
+  util::Rng rng(4);
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  nn::NoisyDense layer(256, 64, rng);
+  layer.set_mode(nn::Mode::kEvaluation);
+  nn::Tensor x = random_tensor({batch, 256}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(layer.forward(x));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_NoisyDenseForward)->Arg(1)->Arg(20);
 
 void BM_LstmForward(benchmark::State& state) {
   util::Rng rng(3);

@@ -83,6 +83,38 @@ std::uint64_t victim_train_hash(env::Game game, rl::Algorithm algorithm,
   return h;
 }
 
+// Stable hash over everything an approximator's weights depend on: its
+// key (game, source algorithm, m), the source victim it observed (that
+// victim's own train hash), the trace-collection budget, the Algorithm-1
+// settings and length candidates, and the zoo seed. Run-time knobs a warm
+// load must ignore (experiment_threads, verbosity) stay out of it.
+std::uint64_t approximator_hash(env::Game game, rl::Algorithm source,
+                                std::size_t output_steps,
+                                std::uint64_t victim_hash,
+                                std::size_t observation_episodes,
+                                const seq2seq::TrainSettings& settings,
+                                const std::vector<std::size_t>& candidates,
+                                std::uint64_t seed) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  h = fnv1a_mix(h, static_cast<std::uint64_t>(game));
+  h = fnv1a_mix(h, static_cast<std::uint64_t>(source));
+  h = fnv1a_mix(h, output_steps);
+  h = fnv1a_mix(h, victim_hash);
+  h = fnv1a_mix(h, observation_episodes);
+  h = fnv1a_mix(h, settings.epochs);
+  h = fnv1a_mix(h, settings.batch_size);
+  h = fnv1a_mix(h, settings.batches_per_epoch);
+  std::uint32_t lr_bits = 0;
+  std::memcpy(&lr_bits, &settings.lr, sizeof(lr_bits));
+  h = fnv1a_mix(h, lr_bits);
+  h = fnv1a_mix(h, settings.use_sgd ? 1u : 0u);
+  h = fnv1a_mix(h, settings.max_eval_batches);
+  h = fnv1a_mix(h, candidates.size());
+  for (const std::size_t n : candidates) h = fnv1a_mix(h, n);
+  h = fnv1a_mix(h, seed);
+  return h;
+}
+
 seq2seq::Seq2SeqConfig approx_config(env::Game game, std::size_t actions,
                                      std::vector<std::size_t> frame_shape,
                                      std::size_t n, std::size_t m) {
@@ -257,13 +289,27 @@ ApproximatorInfo Zoo::approximator(env::Game game, rl::Algorithm source,
   const std::string ckpt = config_.cache_dir + "/seq2seq_" + key + ".ckpt";
   const std::string meta = config_.cache_dir + "/seq2seq_" + key + ".meta";
 
+  const auto candidates = length_candidates(game);
+  const seq2seq::TrainSettings settings = seq2seq_settings(game);
+  const std::uint64_t want_hash = approximator_hash(
+      game, source, output_steps,
+      victim_train_hash(game, source,
+                        victim_train_config(game, source, config_.scale,
+                                            config_.verbose),
+                        config_.seed),
+      observation_episodes(game), settings, candidates, config_.seed);
+
   ApproximatorInfo info;
-  // Try the cache: meta holds "n accuracy".
+  // Try the cache: meta holds "config-hash n accuracy". As for victims, a
+  // checkpoint is only trusted when the hash proves it was trained under
+  // exactly this config; one from another bench scale, seed or observed
+  // victim would otherwise load silently whenever the shapes match.
   if (std::filesystem::exists(ckpt) && std::filesystem::exists(meta)) {
     std::ifstream meta_in(meta);
+    std::uint64_t have_hash = 0;
     std::size_t n = 0;
     double acc = 0.0;
-    if (meta_in >> n >> acc && n > 0) {
+    if (meta_in >> have_hash >> n >> acc && have_hash == want_hash && n > 0) {
       auto model = std::make_unique<seq2seq::Seq2SeqModel>(
           approx_config(game, actions, frame_shape, n, output_steps),
           config_.seed);
@@ -285,8 +331,6 @@ ApproximatorInfo Zoo::approximator(env::Game game, rl::Algorithm source,
   obs::Span span(
       obs::MetricsRegistry::global().span("zoo.train_approximator"));
   const auto& data = episodes(game, source);
-  const auto candidates = length_candidates(game);
-  const seq2seq::TrainSettings settings = seq2seq_settings(game);
   util::log_info("zoo: training approximator ", key, " (Algorithm 1, ",
                  settings.epochs, " epochs)");
   auto make_config = [&](std::size_t n) {
@@ -307,7 +351,8 @@ ApproximatorInfo Zoo::approximator(env::Game game, rl::Algorithm source,
     util::log_warn("zoo: failed to checkpoint approximator to ", ckpt);
   } else {
     std::ofstream meta_out(meta, std::ios::trunc);
-    meta_out << info.input_steps << ' ' << info.accuracy << '\n';
+    meta_out << want_hash << ' ' << info.input_steps << ' ' << info.accuracy
+             << '\n';
   }
   models_.emplace(key, std::move(result.model));
   infos_.emplace(key, info);

@@ -2,10 +2,43 @@
 
 #include <stdexcept>
 
+#include "affine.hpp"
 #include "rlattack/nn/init.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 
 namespace rlattack::nn {
+
+void affine_forward(const Tensor& x, const Tensor& w, const Tensor& b,
+                    Tensor& out) {
+  const std::size_t batch = x.dim(0), in = x.dim(1), features = w.dim(0);
+  // Grow-only storage, reshaped in place: episode-batched inference changes
+  // the batch extent at nearly every flush, and reallocating per call would
+  // churn the allocator. Every element is overwritten below.
+  if (out.rank() != 2 || out.dim(0) != batch || out.dim(1) != features)
+    out.resize({batch, features});
+  // y = bias (broadcast per row), then y += x W^T in one GEMM.
+  kernels::broadcast_bias_rows(batch, features, b.raw(), out.raw(), features);
+  kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kYes, batch, features,
+                 in, x.raw(), in, w.raw(), in, out.raw(), features,
+                 /*accumulate=*/true);
+}
+
+Tensor affine_backward(const Tensor& x, const Tensor& w, const Tensor& g,
+                       Tensor& gw, Tensor& gb) {
+  const std::size_t batch = g.dim(0), in = x.dim(1), features = w.dim(0);
+  Tensor grad_input({batch, in});
+  // dx = g W
+  kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, in,
+                 features, g.raw(), features, w.raw(), in, grad_input.raw(),
+                 in, /*accumulate=*/false);
+  // dW += g^T x
+  kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, features, in,
+                 batch, g.raw(), features, x.raw(), in, gw.raw(), in,
+                 /*accumulate=*/true);
+  // db += column sums of g
+  kernels::col_sums_accumulate(batch, features, g.raw(), features, gb.raw());
+  return grad_input;
+}
 
 Dense::Dense(std::size_t in_features, std::size_t out_features, util::Rng& rng,
              bool relu_fan_in)
@@ -31,15 +64,7 @@ Tensor Dense::forward(const Tensor& input) {
                            std::to_string(in_) + "], got " +
                            input.shape_string());
   cached_input_ = x;
-  const std::size_t batch = x.dim(0);
-  // Reusable output buffer: only reallocated when the batch size changes.
-  if (out_buf_.rank() != 2 || out_buf_.dim(0) != batch)
-    out_buf_ = Tensor({batch, out_});
-  // y = bias (broadcast per row), then y += x W^T in one GEMM.
-  kernels::broadcast_bias_rows(batch, out_, bias_.raw(), out_buf_.raw(), out_);
-  kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kYes, batch, out_, in_,
-                 x.raw(), in_, weight_.raw(), in_, out_buf_.raw(), out_,
-                 /*accumulate=*/true);
+  affine_forward(x, weight_, bias_, out_buf_);
   if (input_was_rank1_) return out_buf_.reshaped({out_});
   return out_buf_;
 }
@@ -52,18 +77,8 @@ Tensor Dense::backward(const Tensor& grad_output) {
       g.dim(0) != cached_input_.dim(0))
     throw std::logic_error("Dense::backward: gradient shape mismatch " +
                            grad_output.shape_string());
-  const std::size_t batch = g.dim(0);
-  Tensor grad_input({batch, in_});
-  // dx = g W
-  kernels::sgemm(kernels::Trans::kNo, kernels::Trans::kNo, batch, in_, out_,
-                 g.raw(), out_, weight_.raw(), in_, grad_input.raw(), in_,
-                 /*accumulate=*/false);
-  // dW += g^T x
-  kernels::sgemm(kernels::Trans::kYes, kernels::Trans::kNo, out_, in_, batch,
-                 g.raw(), out_, cached_input_.raw(), in_, grad_weight_.raw(),
-                 in_, /*accumulate=*/true);
-  // db += column sums of g
-  kernels::col_sums_accumulate(batch, out_, g.raw(), out_, grad_bias_.raw());
+  Tensor grad_input =
+      affine_backward(cached_input_, weight_, g, grad_weight_, grad_bias_);
   if (input_was_rank1_) return grad_input.reshaped({in_});
   return grad_input;
 }

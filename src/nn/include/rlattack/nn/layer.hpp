@@ -21,6 +21,20 @@ struct Param {
   std::string name;  ///< diagnostic name, e.g. "dense0.weight"
 };
 
+/// What a forward pass computes in a layer with mode-dependent behaviour.
+/// Only NoisyDense has any; every other layer ignores the mode.
+enum class Mode {
+  /// Noisy weights (mu + sigma * eps): NoisyNet exploration and learning.
+  kTraining,
+  /// Mean weights on the scalar loop the Rainbow victims were trained with:
+  /// the bootstrap targets a Q-learner computes inside a training step, so
+  /// trained weights do not depend on the GEMM kernel.
+  kBootstrap,
+  /// Mean weights on the affine GEMM path: greedy acting and every
+  /// attack-time victim query.
+  kEvaluation,
+};
+
 /// Base class for all differentiable layers.
 ///
 /// Contract: `backward` must be called at most once per `forward`, with a
@@ -48,9 +62,10 @@ class Layer {
   /// Human-readable layer name for diagnostics.
   virtual std::string name() const = 0;
 
-  /// Switches between training and evaluation behaviour. Only layers with
-  /// mode-dependent behaviour (NoisyDense) override this.
-  virtual void set_training(bool training) { (void)training; }
+  /// Switches between training, bootstrap-target and evaluation behaviour
+  /// (see Mode). Only layers with mode-dependent behaviour (NoisyDense) and
+  /// containers override this.
+  virtual void set_mode(Mode mode) { (void)mode; }
 
   /// Re-randomises any internal noise (NoisyDense). No-op by default.
   virtual void resample_noise(util::Rng& rng) { (void)rng; }

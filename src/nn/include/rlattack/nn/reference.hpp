@@ -1,9 +1,11 @@
 // Naive scalar reference implementations of the GEMM-backed hot layers.
 //
 // These are the seed's original loop-nest kernels, retained verbatim as the
-// ground truth the optimised Dense/Conv2D/Lstm paths are parity-tested
-// against (tests/kernels_test.cpp asserts agreement to 1e-4 at every
-// RLATTACK_THREADS setting). Not used by any production code path.
+// ground truth the optimised Dense/Conv2D/Lstm/NoisyDense paths are
+// parity-tested against (tests/kernels_test.cpp asserts agreement to 1e-4 at
+// every RLATTACK_THREADS setting, and bit-for-bit agreement for NoisyDense's
+// training and bootstrap modes, which stay scalar). Not used by any
+// production code path.
 #pragma once
 
 #include "rlattack/nn/tensor.hpp"
@@ -17,6 +19,23 @@ Tensor dense_forward(const Tensor& x, const Tensor& w, const Tensor& b);
 /// g: [B, out] upstream gradient.
 Tensor dense_backward(const Tensor& x, const Tensor& w, const Tensor& g,
                       Tensor& gw, Tensor& gb);
+
+/// NoisyDense's scalar loops (factorised noise: the effective weight is
+/// w_mu + w_sigma * (eps_out eps_in^T), the effective bias b_mu + b_sigma *
+/// eps_out; only the means when !noisy). x: [B, in], w_*: [out, in],
+/// b_*: [out], eps_in: [in], eps_out: [out] -> [B, out].
+Tensor noisy_dense_forward(const Tensor& x, const Tensor& w_mu,
+                           const Tensor& w_sigma, const Tensor& b_mu,
+                           const Tensor& b_sigma, const Tensor& eps_in,
+                           const Tensor& eps_out, bool noisy);
+
+/// Returns d loss / d x and accumulates (+=) into the four gradients; the
+/// sigma gradients are left untouched when !noisy.
+Tensor noisy_dense_backward(const Tensor& x, const Tensor& w_mu,
+                            const Tensor& w_sigma, const Tensor& eps_in,
+                            const Tensor& eps_out, const Tensor& g,
+                            bool noisy, Tensor& gw_mu, Tensor& gw_sigma,
+                            Tensor& gb_mu, Tensor& gb_sigma);
 
 /// Direct convolution. x: [B, C, H, W], w: [OC, C, k, k], b: [OC].
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,

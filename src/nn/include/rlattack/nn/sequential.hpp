@@ -34,7 +34,7 @@ class Sequential final : public Layer {
   /// back after the first call (the views alias layer-owned tensors).
   std::vector<Param> params() override;
   std::string name() const override { return "Sequential"; }
-  void set_training(bool training) override;
+  void set_mode(Mode mode) override;
   void resample_noise(util::Rng& rng) override;
 
   std::size_t layer_count() const noexcept { return layers_.size(); }
@@ -75,7 +75,7 @@ class TimeDistributed final : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param> params() override { return inner_->params(); }
   std::string name() const override { return "TimeDistributed"; }
-  void set_training(bool training) override { inner_->set_training(training); }
+  void set_mode(Mode mode) override { inner_->set_mode(mode); }
   void resample_noise(util::Rng& rng) override { inner_->resample_noise(rng); }
 
  private:

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "affine.hpp"
+
 namespace rlattack::nn {
 
 NoisyDense::NoisyDense(std::size_t in_features, std::size_t out_features,
@@ -47,6 +49,12 @@ Tensor NoisyDense::forward(const Tensor& input) {
                            std::to_string(in_) + "], got " +
                            input.shape_string());
   cached_input_ = x;
+  if (mode_ == Mode::kEvaluation) {
+    affine_forward(x, w_mu_, b_mu_, out_buf_);
+    if (input_was_rank1_) return out_buf_.reshaped({out_});
+    return out_buf_;
+  }
+  const bool noisy = mode_ == Mode::kTraining;
   const std::size_t batch = x.dim(0);
   Tensor y({batch, out_});
   for (std::size_t b = 0; b < batch; ++b) {
@@ -56,7 +64,7 @@ Tensor NoisyDense::forward(const Tensor& input) {
       const float* mu = w_mu_.raw() + o * in_;
       const float* sg = w_sigma_.raw() + o * in_;
       float acc = b_mu_[o];
-      if (training_) {
+      if (noisy) {
         acc += b_sigma_[o] * eps_out_[o];
         const float eo = eps_out_[o];
         for (std::size_t i = 0; i < in_; ++i)
@@ -77,6 +85,13 @@ Tensor NoisyDense::backward(const Tensor& grad_output) {
                  : grad_output;
   if (g.rank() != 2 || g.dim(1) != out_ || g.dim(0) != cached_input_.dim(0))
     throw std::logic_error("NoisyDense::backward: gradient shape mismatch");
+  if (mode_ == Mode::kEvaluation) {
+    Tensor grad_input =
+        affine_backward(cached_input_, w_mu_, g, gw_mu_, gb_mu_);
+    if (input_was_rank1_) return grad_input.reshaped({in_});
+    return grad_input;
+  }
+  const bool noisy = mode_ == Mode::kTraining;
   const std::size_t batch = g.dim(0);
   Tensor grad_input({batch, in_});
   for (std::size_t b = 0; b < batch; ++b) {
@@ -85,17 +100,17 @@ Tensor NoisyDense::backward(const Tensor& grad_output) {
     float* gi = grad_input.raw() + b * in_;
     for (std::size_t o = 0; o < out_; ++o) {
       const float go = gb[o];
-      const float eo = training_ ? eps_out_[o] : 0.0f;
+      const float eo = noisy ? eps_out_[o] : 0.0f;
       gb_mu_[o] += go;
-      if (training_) gb_sigma_[o] += go * eo;
+      if (noisy) gb_sigma_[o] += go * eo;
       const float* mu = w_mu_.raw() + o * in_;
       const float* sg = w_sigma_.raw() + o * in_;
       float* gmu = gw_mu_.raw() + o * in_;
       float* gsg = gw_sigma_.raw() + o * in_;
       for (std::size_t i = 0; i < in_; ++i) {
-        const float eps = training_ ? eps_in_[i] * eo : 0.0f;
+        const float eps = noisy ? eps_in_[i] * eo : 0.0f;
         gmu[i] += go * xb[i];
-        if (training_) gsg[i] += go * xb[i] * eps;
+        if (noisy) gsg[i] += go * xb[i] * eps;
         gi[i] += go * (mu[i] + sg[i] * eps);
       }
     }

@@ -59,6 +59,64 @@ Tensor dense_backward(const Tensor& x, const Tensor& w, const Tensor& g,
   return grad_input;
 }
 
+Tensor noisy_dense_forward(const Tensor& x, const Tensor& w_mu,
+                           const Tensor& w_sigma, const Tensor& b_mu,
+                           const Tensor& b_sigma, const Tensor& eps_in,
+                           const Tensor& eps_out, bool noisy) {
+  const std::size_t batch = x.dim(0), in = x.dim(1), out = w_mu.dim(0);
+  Tensor y({batch, out});
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* xb = x.raw() + b * in;
+    float* yb = y.raw() + b * out;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* mu = w_mu.raw() + o * in;
+      const float* sg = w_sigma.raw() + o * in;
+      float acc = b_mu[o];
+      if (noisy) {
+        acc += b_sigma[o] * eps_out[o];
+        const float eo = eps_out[o];
+        for (std::size_t i = 0; i < in; ++i)
+          acc += (mu[i] + sg[i] * eps_in[i] * eo) * xb[i];
+      } else {
+        for (std::size_t i = 0; i < in; ++i) acc += mu[i] * xb[i];
+      }
+      yb[o] = acc;
+    }
+  }
+  return y;
+}
+
+Tensor noisy_dense_backward(const Tensor& x, const Tensor& w_mu,
+                            const Tensor& w_sigma, const Tensor& eps_in,
+                            const Tensor& eps_out, const Tensor& g,
+                            bool noisy, Tensor& gw_mu, Tensor& gw_sigma,
+                            Tensor& gb_mu, Tensor& gb_sigma) {
+  const std::size_t batch = g.dim(0), in = x.dim(1), out = w_mu.dim(0);
+  Tensor grad_input({batch, in});
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* gb = g.raw() + b * out;
+    const float* xb = x.raw() + b * in;
+    float* gi = grad_input.raw() + b * in;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float go = gb[o];
+      const float eo = noisy ? eps_out[o] : 0.0f;
+      gb_mu[o] += go;
+      if (noisy) gb_sigma[o] += go * eo;
+      const float* mu = w_mu.raw() + o * in;
+      const float* sg = w_sigma.raw() + o * in;
+      float* gmu = gw_mu.raw() + o * in;
+      float* gsg = gw_sigma.raw() + o * in;
+      for (std::size_t i = 0; i < in; ++i) {
+        const float eps = noisy ? eps_in[i] * eo : 0.0f;
+        gmu[i] += go * xb[i];
+        if (noisy) gsg[i] += go * xb[i] * eps;
+        gi[i] += go * (mu[i] + sg[i] * eps);
+      }
+    }
+  }
+  return grad_input;
+}
+
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       std::size_t stride, std::size_t pad) {
   const std::size_t batch = x.dim(0), in_c = x.dim(1), h = x.dim(2),

@@ -98,8 +98,8 @@ std::vector<Param> Sequential::params() {
   return params_cache_;
 }
 
-void Sequential::set_training(bool training) {
-  for (auto& l : layers_) l->set_training(training);
+void Sequential::set_mode(Mode mode) {
+  for (auto& l : layers_) l->set_mode(mode);
 }
 
 void Sequential::resample_noise(util::Rng& rng) {

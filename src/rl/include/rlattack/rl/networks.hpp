@@ -57,7 +57,7 @@ class DuelingHead final : public nn::Layer {
   nn::Tensor backward(const nn::Tensor& grad_output) override;
   std::vector<nn::Param> params() override;
   std::string name() const override { return "DuelingHead"; }
-  void set_training(bool training) override;
+  void set_mode(nn::Mode mode) override;
   void resample_noise(util::Rng& rng) override;
 
  private:

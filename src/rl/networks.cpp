@@ -129,9 +129,9 @@ std::vector<nn::Param> DuelingHead::params() {
   return out;
 }
 
-void DuelingHead::set_training(bool training) {
-  value_stream_.set_training(training);
-  advantage_stream_.set_training(training);
+void DuelingHead::set_mode(nn::Mode mode) {
+  value_stream_.set_mode(mode);
+  advantage_stream_.set_mode(mode);
 }
 
 void DuelingHead::resample_noise(util::Rng& rng) {

@@ -42,7 +42,8 @@ QAgent::QAgent(ObsSpec obs, std::size_t actions, Config config,
   online_ = build();
   target_ = build();
   nn::copy_parameters(*target_, *online_);
-  target_->set_training(false);
+  // The target network only ever computes bootstrap targets.
+  target_->set_mode(nn::Mode::kBootstrap);
   optimizer_ = std::make_unique<nn::Adam>(*online_, config_.lr);
   if (config_.use_per) {
     PrioritizedReplayBuffer::Config prc;
@@ -87,11 +88,12 @@ void QAgent::reset_from(const Agent& src) {
 std::size_t QAgent::act(const nn::Tensor& observation, bool explore) {
   if (explore && rng_.bernoulli(epsilon()))
     return rng_.uniform_int(actions_);
-  online_->set_training(explore && config_.use_noisy);
-  if (explore && config_.use_noisy) online_->resample_noise(rng_);
+  const bool noisy = explore && config_.use_noisy;
+  online_->set_mode(noisy ? nn::Mode::kTraining : nn::Mode::kEvaluation);
+  if (noisy) online_->resample_noise(rng_);
   nn::Tensor out =
       online_->forward(as_batch_of_one_into(observation, obs_scratch_));
-  online_->set_training(true);
+  online_->set_mode(nn::Mode::kTraining);
   if (config_.use_distributional) out = expected_q(out);
   return nn::argmax(out.data());
 }
@@ -117,9 +119,9 @@ std::vector<std::size_t> QAgent::act_batch(const nn::Tensor& observations,
       }
     }
   }
-  online_->set_training(false);  // == set_training(explore && use_noisy) here
+  online_->set_mode(nn::Mode::kEvaluation);  // == act()'s mode here
   nn::Tensor out = online_->forward(observations);
-  online_->set_training(true);
+  online_->set_mode(nn::Mode::kTraining);
   if (config_.use_distributional) out = expected_q(out);
   const std::vector<std::size_t> greedy = nn::argmax_rows(out);
   for (std::size_t b = 0; b < batch; ++b)
@@ -355,10 +357,7 @@ void QAgent::train_step() {
 
   // Bootstrap targets. Double Q-learning selects the argmax with the online
   // network and evaluates it with the target network.
-  if (config_.use_noisy) {
-    target_->set_training(false);
-    online_->set_training(false);
-  }
+  if (config_.use_noisy) online_->set_mode(nn::Mode::kBootstrap);
   nn::Tensor next_q_target = target_->forward(next_batch);  // [B, A]
   std::vector<std::size_t> next_actions(batch);
   if (config_.use_double) {
@@ -381,7 +380,7 @@ void QAgent::train_step() {
 
   // Q(s, a) regression on the taken actions.
   if (config_.use_noisy) {
-    online_->set_training(true);
+    online_->set_mode(nn::Mode::kTraining);
     online_->resample_noise(rng_);
   }
   nn::Tensor q = online_->forward(obs_batch);

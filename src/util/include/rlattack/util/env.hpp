@@ -34,8 +34,8 @@ namespace rlattack::util::env {
 // too — the registry documents the whole env surface, not just getenv sites.
 #define RLATTACK_ENV_VARS(X)                                                   \
   X(kThreads, "RLATTACK_THREADS",                                              \
-    "worker count of util::ThreadPool::global(); default "                     \
-    "hardware_concurrency")                                                    \
+    "worker count of util::ThreadPool::global(); default: CPUs in the "        \
+    "affinity mask, at most hardware_concurrency")                             \
   X(kExperimentThreads, "RLATTACK_EXPERIMENT_THREADS",                         \
     "episode-worker count of the experiment drivers; default: pool size")      \
   X(kLogLevel, "RLATTACK_LOG_LEVEL",                                           \

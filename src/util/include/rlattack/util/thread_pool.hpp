@@ -12,8 +12,11 @@
 //    serial, no pool machinery, bit-identical to a build without the pool.
 //
 // Worker count resolution (first use of `global()`):
-//    RLATTACK_THREADS env var if set to a positive integer, otherwise
-//    std::thread::hardware_concurrency(), clamped to >= 1.
+//    RLATTACK_THREADS env var if set to a positive integer, otherwise the
+//    smaller of std::thread::hardware_concurrency() and the number of CPUs
+//    in the calling thread's affinity mask (sched_getaffinity, Linux), so a
+//    process pinned to k CPUs gets k workers instead of one per machine
+//    CPU; clamped to >= 1.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +36,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Process-wide pool used by the NN kernels. Created on first use from
-  /// RLATTACK_THREADS / hardware_concurrency.
+  /// RLATTACK_THREADS, else the CPUs the process may use (see above).
   static ThreadPool& global();
 
   /// Rebuilds the global pool with an explicit worker count (0 = re-resolve

@@ -8,6 +8,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "rlattack/util/env.hpp"
 #include "rlattack/util/thread_safety.hpp"
 
@@ -44,12 +48,29 @@ void pool_trace_end(const char* name, std::uint64_t begin_ns, double chunks,
     fn(name, begin_ns, chunks, workers);
 }
 
+// CPUs the calling thread may run on (its affinity mask), or 0 when the
+// platform cannot tell.
+std::size_t allowed_cpu_count() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+#endif
+  return 0;
+}
+
 std::size_t resolve_thread_count() {
   if (const std::optional<long> v = env::get_long(env::Var::kThreads);
       v && *v > 0)
     return static_cast<std::size_t>(*v);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<std::size_t>(hw) : 1;
+  // hardware_concurrency() counts the machine's CPUs and ignores the
+  // affinity mask: a process pinned to one CPU would otherwise wake workers
+  // that can only time-share the caller's core.
+  std::size_t count = std::thread::hardware_concurrency();
+  if (const std::size_t allowed = allowed_cpu_count(); allowed > 0)
+    count = count > 0 ? std::min(count, allowed) : allowed;
+  return std::max<std::size_t>(count, 1);
 }
 
 // One synchronous parallel loop. Owns its chunk counters so a worker that

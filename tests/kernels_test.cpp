@@ -4,17 +4,27 @@
 // exercised under the tier-1 test command.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "gradcheck.hpp"
 #include "rlattack/nn/conv2d.hpp"
 #include "rlattack/nn/dense.hpp"
 #include "rlattack/nn/kernels/gemm.hpp"
 #include "rlattack/nn/lstm.hpp"
+#include "rlattack/nn/noisy_dense.hpp"
 #include "rlattack/nn/reference.hpp"
+#include "rlattack/util/env.hpp"
 #include "rlattack/util/thread_pool.hpp"
 
 namespace rlattack::nn {
@@ -111,6 +121,13 @@ struct DispatchGuard {
   }
 };
 
+std::vector<kernels::SimdKernel> available_kernels() {
+  std::vector<kernels::SimdKernel> choices{kernels::SimdKernel::kScalar};
+  if (kernels::avx2_available())
+    choices.push_back(kernels::SimdKernel::kAvx2);
+  return choices;
+}
+
 std::vector<GemmCase> dispatch_matrix_shapes() {
   // Full cube over dims that straddle the 4/6-row tiles and 8/16-wide column
   // chunks, plus sentinels that cross the kMC=64 / kNC=128 / kKC=256 cache
@@ -134,9 +151,7 @@ class SimdDispatchMatrix : public ::testing::TestWithParam<GemmCase> {};
 TEST_P(SimdDispatchMatrix, EveryKernelMatchesReferenceAndIsThreadStable) {
   const auto [m, n, k] = GetParam();
   DispatchGuard guard;
-  std::vector<kernels::SimdKernel> choices{kernels::SimdKernel::kScalar};
-  if (kernels::avx2_available())
-    choices.push_back(kernels::SimdKernel::kAvx2);
+  const std::vector<kernels::SimdKernel> choices = available_kernels();
   util::Rng rng(71);
   for (const Trans ta : {Trans::kNo, Trans::kYes}) {
     for (const Trans tb : {Trans::kNo, Trans::kYes}) {
@@ -201,10 +216,7 @@ TEST(SimdDispatch, NonTightLeadingDimensionsEveryKernel) {
   Tensor c_ref = c0;
   naive_gemm(Trans::kNo, Trans::kNo, m, n, k, a.raw(), lda, b.raw(), ldb,
              c_ref.raw(), ldc, false);
-  std::vector<kernels::SimdKernel> choices{kernels::SimdKernel::kScalar};
-  if (kernels::avx2_available())
-    choices.push_back(kernels::SimdKernel::kAvx2);
-  for (const kernels::SimdKernel choice : choices) {
+  for (const kernels::SimdKernel choice : available_kernels()) {
     kernels::set_simd_kernel(choice);
     Tensor c = c0;
     kernels::sgemm(Trans::kNo, Trans::kNo, m, n, k, a.raw(), lda, b.raw(),
@@ -383,6 +395,56 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(ThreadPool, DefaultSizeHonoursAffinityMask) {
+#if defined(__linux__)
+  // Pins this thread to one of its allowed CPUs: the default pool must then
+  // have one worker, whatever hardware_concurrency() says, and an explicit
+  // RLATTACK_THREADS must still win. The test is the only setenv caller in
+  // the tree; it runs on the main thread while no other thread reads the
+  // environment, and restores the variable, the mask and the pool.
+  cpu_set_t saved_mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved_mask), &saved_mask), 0);
+  int first_cpu = -1;
+  for (int c = 0; c < CPU_SETSIZE && first_cpu < 0; ++c)
+    if (CPU_ISSET(c, &saved_mask)) first_cpu = c;
+  ASSERT_GE(first_cpu, 0);
+  const char* threads_var = util::env::name(util::env::Var::kThreads);
+  const char* ambient = util::env::get(util::env::Var::kThreads);
+  const std::optional<std::string> saved_threads =
+      ambient != nullptr ? std::optional<std::string>(ambient) : std::nullopt;
+  struct Restore {
+    const cpu_set_t& mask;
+    const char* var;
+    const std::optional<std::string>& value;
+    ~Restore() {
+      sched_setaffinity(0, sizeof(mask), &mask);
+      // NOLINTBEGIN(concurrency-mt-unsafe)
+      if (value) {
+        setenv(var, value->c_str(), 1);
+      } else {
+        unsetenv(var);
+      }
+      // NOLINTEND(concurrency-mt-unsafe)
+      util::ThreadPool::reset_global(0);
+    }
+  } restore{saved_mask, threads_var, saved_threads};
+
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first_cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  unsetenv(threads_var);  // NOLINT(concurrency-mt-unsafe)
+  util::ThreadPool::reset_global(0);
+  EXPECT_EQ(util::ThreadPool::global().size(), 1u);
+
+  setenv(threads_var, "3", 1);  // NOLINT(concurrency-mt-unsafe)
+  util::ThreadPool::reset_global(0);
+  EXPECT_EQ(util::ThreadPool::global().size(), 3u);
+#else
+  GTEST_SKIP() << "affinity masks are read with sched_getaffinity (Linux)";
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Layer parity against the retained naive reference implementations.
 
@@ -403,6 +465,91 @@ TEST(DenseParity, ForwardBackwardMatchReference) {
   expect_close(gx, gx_ref, kParityTol, "dense dx");
   expect_close(*params[0].grad, gw, kParityTol, "dense dW");
   expect_close(*params[1].grad, gb, kParityTol, "dense db");
+}
+
+void expect_bits_equal(const Tensor& got, const Tensor& want,
+                       const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << what << " differs at " << i;
+}
+
+// kEvaluation runs on the affine GEMM path and agrees with the seed's scalar
+// loop to rounding under every kernel. kTraining and kBootstrap keep the
+// scalar loop, so they must reproduce the reference bit for bit: the Rainbow
+// victims' training arithmetic, and their checkpoints, depend on it.
+TEST(NoisyDenseParity, ForwardBackwardMatchReference) {
+  DispatchGuard guard;
+  for (const kernels::SimdKernel choice : available_kernels()) {
+    kernels::set_simd_kernel(choice);
+    for (const Mode mode :
+         {Mode::kEvaluation, Mode::kBootstrap, Mode::kTraining}) {
+      const bool noisy = mode == Mode::kTraining;
+      const std::string what =
+          std::string(kernels::simd_kernel_name(choice)) + " mode " +
+          std::to_string(static_cast<int>(mode));
+      util::Rng rng(13);
+      NoisyDense nd(37, 29, rng);
+      auto params = nd.params();
+      nd.set_mode(mode);
+      Tensor x = random_tensor({5, 37}, rng);
+      Tensor y = nd.forward(x);
+      Tensor y_ref = ref::noisy_dense_forward(
+          x, *params[0].value, *params[1].value, *params[2].value,
+          *params[3].value, nd.noise_in(), nd.noise_out(), noisy);
+
+      Tensor g = random_tensor({5, 29}, rng);
+      nd.zero_grad();
+      Tensor gx = nd.backward(g);
+      Tensor gw_mu({29, 37}), gw_sigma({29, 37}), gb_mu({29}), gb_sigma({29});
+      Tensor gx_ref = ref::noisy_dense_backward(
+          x, *params[0].value, *params[1].value, nd.noise_in(),
+          nd.noise_out(), g, noisy, gw_mu, gw_sigma, gb_mu, gb_sigma);
+      const Tensor* got[] = {&y, &gx, params[0].grad, params[1].grad,
+                             params[2].grad, params[3].grad};
+      const Tensor* want[] = {&y_ref, &gx_ref, &gw_mu, &gw_sigma, &gb_mu,
+                              &gb_sigma};
+      const char* names[] = {" forward", " dx", " dW_mu", " dW_sigma",
+                             " db_mu", " db_sigma"};
+      for (std::size_t t = 0; t < 6; ++t) {
+        if (mode == Mode::kEvaluation) {
+          expect_close(*got[t], *want[t], kParityTol,
+                       (what + names[t]).c_str());
+        } else {
+          expect_bits_equal(*got[t], *want[t], what + names[t]);
+        }
+      }
+    }
+  }
+}
+
+// The batched victim forward (act_batch over a rendezvous flush) and the
+// serial reference (one row per act) must agree bit for bit, so each row of
+// an eval forward may not depend on the rows beside it.
+TEST(NoisyDense, EvalRowsIndependentOfBatch) {
+  DispatchGuard guard;
+  util::Rng rng(17);
+  NoisyDense nd(256, 64, rng);  // the Pong dueling head's first layer
+  nd.set_mode(Mode::kEvaluation);
+  const std::size_t rows = 20;
+  Tensor x = random_tensor({rows, 256}, rng);
+  for (const kernels::SimdKernel choice : available_kernels()) {
+    kernels::set_simd_kernel(choice);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::ThreadPool::reset_global(threads);
+      const std::string what = std::string(kernels::simd_kernel_name(choice)) +
+                               " threads=" + std::to_string(threads);
+      const Tensor batched = nd.forward(x);
+      for (std::size_t r = 0; r < rows; ++r) {
+        Tensor row({1, 256});
+        std::copy_n(x.raw() + r * 256, 256, row.raw());
+        const Tensor single = nd.forward(row);
+        for (std::size_t o = 0; o < 64; ++o)
+          ASSERT_EQ(batched.at2(r, o), single[o])
+              << what << " row " << r << " column " << o;
+      }
+    }
+  }
 }
 
 struct ConvParityCase {
@@ -509,6 +656,8 @@ TEST(Determinism, ForwardBitStableAcrossThreadCounts) {
   Dense dense(40, 33, rng);
   Conv2D conv(2, 4, 3, 1, 1, rng);
   Lstm lstm(12, 9, false, rng);
+  NoisyDense noisy(40, 33, rng);
+  noisy.set_mode(Mode::kEvaluation);
   Tensor xd = random_tensor({16, 40}, rng);
   Tensor xc = random_tensor({8, 2, 10, 10}, rng);
   Tensor xl = random_tensor({6, 5, 12}, rng);
@@ -519,21 +668,27 @@ TEST(Determinism, ForwardBitStableAcrossThreadCounts) {
   Tensor yd4 = dense.forward(xd);
   Tensor yc4 = conv.forward(xc);
   Tensor yl4 = lstm.forward(xl);
+  Tensor yn4 = noisy.forward(xd);
   dense.zero_grad();
   Tensor gx4 = dense.backward(gd);
+  Tensor gn4 = noisy.backward(gd);
 
   util::ThreadPool::reset_global(1);
   Tensor yd1 = dense.forward(xd);
   Tensor yc1 = conv.forward(xc);
   Tensor yl1 = lstm.forward(xl);
+  Tensor yn1 = noisy.forward(xd);
   dense.zero_grad();
   Tensor gx1 = dense.backward(gd);
+  Tensor gn1 = noisy.backward(gd);
   util::ThreadPool::reset_global(0);  // restore the env-resolved pool
 
   for (std::size_t i = 0; i < yd4.size(); ++i) EXPECT_EQ(yd4[i], yd1[i]);
   for (std::size_t i = 0; i < yc4.size(); ++i) EXPECT_EQ(yc4[i], yc1[i]);
   for (std::size_t i = 0; i < yl4.size(); ++i) EXPECT_EQ(yl4[i], yl1[i]);
   for (std::size_t i = 0; i < gx4.size(); ++i) EXPECT_EQ(gx4[i], gx1[i]);
+  for (std::size_t i = 0; i < yn4.size(); ++i) EXPECT_EQ(yn4[i], yn1[i]);
+  for (std::size_t i = 0; i < gn4.size(); ++i) EXPECT_EQ(gn4[i], gn1[i]);
 }
 
 }  // namespace

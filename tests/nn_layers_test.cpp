@@ -257,7 +257,7 @@ TEST(TimeDistributed, ConvInnerOnFrameSequence) {
 TEST(NoisyDense, EvalModeIsDeterministic) {
   util::Rng rng(31);
   NoisyDense nd(3, 2, rng);
-  nd.set_training(false);
+  nd.set_mode(Mode::kEvaluation);
   Tensor x = random_tensor({1, 3}, rng);
   Tensor y1 = nd.forward(x);
   nd.resample_noise(rng);
@@ -268,7 +268,7 @@ TEST(NoisyDense, EvalModeIsDeterministic) {
 TEST(NoisyDense, TrainingModeNoiseChangesOutput) {
   util::Rng rng(31);
   NoisyDense nd(6, 4, rng);
-  nd.set_training(true);
+  nd.set_mode(Mode::kTraining);
   Tensor x = random_tensor({1, 6}, rng);
   Tensor y1 = nd.forward(x);
   nd.resample_noise(rng);
@@ -282,7 +282,7 @@ TEST(NoisyDense, TrainingModeNoiseChangesOutput) {
 TEST(NoisyDense, GradCheckTrainingMode) {
   util::Rng rng(31);
   NoisyDense nd(4, 3, rng);
-  nd.set_training(true);
+  nd.set_mode(Mode::kTraining);
   Tensor x = random_tensor({2, 4}, rng);
   check_input_gradient(nd, x, rng);
   check_param_gradients(nd, x, rng);
@@ -291,7 +291,7 @@ TEST(NoisyDense, GradCheckTrainingMode) {
 TEST(NoisyDense, GradCheckEvalMode) {
   util::Rng rng(32);
   NoisyDense nd(4, 3, rng);
-  nd.set_training(false);
+  nd.set_mode(Mode::kEvaluation);
   Tensor x = random_tensor({2, 4}, rng);
   check_input_gradient(nd, x, rng);
 }

@@ -204,9 +204,11 @@ TEST(Image, RescaleConstantToZero) {
 
 // The env registry is the contract the rlattack-env-registry tidy check and
 // the README table are generated against — pin its invariants. These tests
-// deliberately never call setenv (nothing in the tree does; that is what
-// makes the single audited getenv in env.cpp safe), so they only assert
-// properties that hold for any ambient environment.
+// deliberately never call setenv (the library never does, which is what
+// makes the single audited getenv in env.cpp safe; the one test that does,
+// ThreadPool.DefaultSizeHonoursAffinityMask, runs while no other thread
+// reads the environment), so they only assert properties that hold for any
+// ambient environment.
 TEST(EnvRegistry, NamesArePrefixedAndUnique) {
   std::set<std::string> seen;
   for (const env::VarInfo& info : env::registry()) {

@@ -3,7 +3,10 @@
 // the test stays fast.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "rlattack/core/zoo.hpp"
 
@@ -75,6 +78,44 @@ TEST_F(ZooTest, ApproximatorRoundTripsWithMeta) {
   EXPECT_TRUE(cached.from_cache);
   EXPECT_EQ(cached.input_steps, trained.input_steps);
   EXPECT_NEAR(cached.accuracy, trained.accuracy, 1e-6);
+}
+
+TEST_F(ZooTest, ApproximatorRetrainsOnConfigHashMismatch) {
+  const std::string meta = cache_ + "/seq2seq_cartpole_dqn_m1.meta";
+  {
+    Zoo zoo(tiny_config());
+    ASSERT_FALSE(
+        zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1)
+            .from_cache);
+  }
+  {
+    // A run-time knob is not part of the hash: a warm load still hits.
+    ZooConfig serial = tiny_config();
+    serial.experiment_threads = 1;
+    Zoo zoo(serial);
+    EXPECT_TRUE(zoo.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1)
+                    .from_cache);
+  }
+  std::uint64_t hash = 0;
+  std::size_t n = 0;
+  double acc = 0.0;
+  {
+    std::ifstream in(meta);
+    ASSERT_TRUE(in >> hash >> n >> acc) << "meta is not 'hash n accuracy'";
+  }
+  {
+    std::ofstream out(meta, std::ios::trunc);
+    out << (hash ^ 1u) << ' ' << n << ' ' << acc << '\n';
+  }
+  Zoo planted(tiny_config());
+  EXPECT_FALSE(
+      planted.approximator(env::Game::kCartPole, rl::Algorithm::kDqn, 1)
+          .from_cache);
+  // The retrain rewrote the sidecar with the config's own hash.
+  std::ifstream in(meta);
+  std::uint64_t rewritten = 0;
+  ASSERT_TRUE(in >> rewritten);
+  EXPECT_EQ(rewritten, hash);
 }
 
 TEST_F(ZooTest, EpisodesAreCachedInMemory) {
